@@ -13,7 +13,9 @@ DeviceSample VariationSampler::sample(std::uint64_t instance_id) const {
   // order (vth draw, then strength draw) as *standard* normals scaled by
   // the sigmas — so enabling or changing one sigma later rescales that
   // quantity without reshuffling the other's draws, preserving
-  // common-random-number comparisons across variation settings.
+  // common-random-number comparisons across variation settings. Both
+  // normals come from the stream's first polar pair: the second call
+  // returns the spare the first one kept.
   sim::Rng rng = sim::Rng::keyed(trial_seed_, instance_id);
   const double vth_draw = rng.gaussian(0.0, 1.0);
   const double strength_draw = rng.gaussian(0.0, 1.0);

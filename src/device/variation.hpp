@@ -10,10 +10,20 @@
 // Samples come from a counter-based deterministic stream: DeviceSample
 // for instance `i` of trial `t` is a pure function of (trial_seed, i)
 // via sim::Rng::keyed — NOT a draw from a shared sequential generator.
-// Two elaborations that build the same instances in a different order
-// therefore produce identical samples, which is what makes replicated
-// sweeps byte-identical at any thread count and robust against circuit
-// refactoring (the MC determinism contract, tests/mc_test.cpp).
+// The stream's key is splitmix64(derive_seed(trial_seed, i)) and its
+// k-th raw draw splitmix64(key + gamma * k), so opening it is a few
+// mixer calls and no state table. Two elaborations that build the same
+// instances in a different order therefore produce identical samples,
+// which is what makes replicated sweeps byte-identical at any thread
+// count and robust against circuit refactoring (the MC determinism
+// contract, tests/mc_test.cpp).
+//
+// Draws per sample: a device with local variation consumes exactly one
+// Marsaglia polar pair of its stream — the first normal scales the Vth
+// sigma, the pair's second (spare) normal the strength sigma. The polar
+// method accepts a pair of raw draws with probability pi/4, so a sample
+// reads 2 raw draws at least and 8/pi ~ 2.55 on average. A device with
+// no local variation opens no stream at all.
 //
 // Both sampled quantities factor *out* of the memoized EKV kernel
 // (DelayTable stores g(x) in x = Vdd - Vth; strength is a prefactor), so
@@ -101,6 +111,7 @@ struct Variation {
 
 /// Draws DeviceSamples for one trial. Stateless between calls: sample(i)
 /// opens a fresh keyed stream per instance, so call order never matters.
+/// worst_vth() is `count` samples, one stream each.
 class VariationSampler {
  public:
   VariationSampler() = default;

@@ -172,6 +172,7 @@ Workbench& Workbench::chunk(std::size_t n) {
 Workbench& Workbench::replicate(std::size_t n_trials, std::uint64_t base_seed) {
   trials_ = n_trials == 0 ? 1 : n_trials;
   base_seed_ = base_seed;
+  replicated_ = true;
   return *this;
 }
 
@@ -198,7 +199,7 @@ std::size_t Workbench::total_scenarios() const {
 std::vector<analysis::Scenario> Workbench::materialize_scenarios() {
   params_ = explicit_scenarios_ ? explicit_params_ : grid_.build();
 
-  if (trials_ > 1 || shard_count_ > 1) {
+  if (replicated_ || shard_count_ > 1) {
     // Expand the trial axis (fastest): every grid point becomes
     // `trials_` adjacent scenarios carrying their trial index and the
     // derived per-trial seed. Seeds depend on (base_seed, trial) only,
@@ -211,7 +212,7 @@ std::vector<analysis::Scenario> Workbench::materialize_scenarios() {
       for (std::size_t t = 0; t < trials_; ++t) {
         if (t % shard_count_ != shard_index_) continue;
         ParamSet q = p;
-        if (trials_ > 1) {
+        if (replicated_) {
           q.set("trial", static_cast<std::int64_t>(t));
           // Masked to the positive int64 range ParamSet integers live in.
           q.set("trial_seed", static_cast<std::int64_t>(
@@ -303,7 +304,7 @@ const analysis::SweepReport& Workbench::run_streaming(const RowSink& sink,
         const std::size_t p = l / m;
         const std::size_t t = shard_index_ + (l % m) * shard_count_;
         ParamSet q = points[p];
-        if (trials_ > 1) {
+        if (replicated_) {
           q.set("trial", static_cast<std::int64_t>(t));
           q.set("trial_seed", static_cast<std::int64_t>(
                                   sim::derive_seed(base_seed_, t) >> 1));

@@ -172,7 +172,9 @@ class Workbench {
   /// analysis::Aggregate), and trial t has the *same* seed at every grid
   /// point: one virtual chip swept across the grid (common random
   /// numbers). Bodies route the seed with
-  /// `ContextConfig::trial(params)` or read "trial_seed" directly.
+  /// `ContextConfig::trial(params)` or read "trial_seed" directly. Every
+  /// row of a replicated run carries both parameters, n_trials == 1
+  /// included.
   Workbench& replicate(std::size_t n_trials, std::uint64_t base_seed);
 
   /// Replication factor (1 = no replication).
@@ -276,6 +278,7 @@ class Workbench {
   std::vector<std::string> columns_;
   std::size_t trials_ = 1;
   std::uint64_t base_seed_ = 0;
+  bool replicated_ = false;  // replicate() called: every row gets a trial seed
   std::size_t shard_index_ = 0;
   std::size_t shard_count_ = 1;
   analysis::SweepRunner::Options opt_;

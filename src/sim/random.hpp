@@ -4,24 +4,48 @@
 // resolution) takes an Rng by reference so an experiment is fully
 // determined by one seed printed in its report.
 //
+// The generator is counter-based: an Rng is a (key, counter) pair and its
+// k-th raw draw is splitmix64(key + gamma * k) — a pure function of the key
+// and the draw index, in the style of Philox/Threefry (Salmon et al.,
+// "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) built on the
+// SplitMix64 mixer (Steele et al., "Fast Splittable Pseudorandom Number
+// Generators", OOPSLA'14). Opening a stream costs four mixer calls and the
+// object is 32 bytes, so one stream per device sample is cheap.
+//
 // For replicated (Monte-Carlo) runs the sequential-draw model is not
 // enough: two elaborations that create the same devices in a different
 // order must still give each device the same sample. derive_seed() turns
-// a (seed, stream) pair into an independent starting state, so callers
-// key one Rng per logical entity — Rng::keyed(trial_seed, instance_id)
-// — instead of sharing one sequential stream whose draw order would leak
-// elaboration order into the results.
+// a (seed, stream) pair into an independent key, so callers key one Rng
+// per logical entity — Rng::keyed(trial_seed, instance_id) — instead of
+// sharing one sequential stream whose draw order would leak elaboration
+// order into the results.
+//
+// The transforms from raw 64-bit draws are written out here with plain
+// arithmetic, sqrt and log — no std::*_distribution, whose algorithms are
+// implementation-defined — so every recorded ref is the same under any
+// standard library. Draws consumed per call:
+//   uniform(), uniform(lo, hi), chance(p), exponential_mean()   1
+//   index(n)                    1, plus a rejection redraw with
+//                               probability < n / 2^64
+//   gaussian()                  2 per accepted pair (Marsaglia polar,
+//                               acceptance pi/4); the pair's second normal
+//                               is kept and returned by the next call
+// Changing any of this moves every stochastic ref: it is a deliberate ref
+// change (README, "Determinism contract").
 #pragma once
 
+#include <cmath>
 #include <cstdint>
-#include <random>
 
 namespace emc::sim {
 
+/// SplitMix64's Weyl increment (the 64-bit golden ratio).
+inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixing function
-/// (Steele et al.; the seed-spreading step of the splitmix64 generator).
+/// (Steele et al.; the output step of the splitmix64 generator).
 constexpr std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
+  x += kSplitMixGamma;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
@@ -37,7 +61,7 @@ constexpr std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream) {
 
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) : gen_(seed) {}
+  explicit Rng(std::uint64_t seed = kSplitMixGamma) : key_(splitmix64(seed)) {}
 
   /// Rng on the derived stream (trial_seed, stream_id) — the handle for
   /// per-instance Monte-Carlo draws whose results must not depend on
@@ -46,36 +70,79 @@ class Rng {
     return Rng(derive_seed(seed, stream));
   }
 
-  /// Uniform in [0, 1).
-  double uniform() { return std::uniform_real_distribution<double>()(gen_); }
+  /// Uniform in [0, 1): the top 53 bits of one draw, scaled by 2^-53.
+  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
   /// Uniform in [lo, hi).
-  double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>(lo, hi)(gen_);
-  }
+  double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-  /// Uniform integer in [0, n).
+  /// Uniform integer in [0, n), n > 0: Lemire's multiply-shift, the high
+  /// word of draw * n, rejecting the low words below 2^64 mod n that
+  /// would bias it (Lemire, "Fast Random Integer Generation in an
+  /// Interval", TOMACS 2019).
   std::uint64_t index(std::uint64_t n) {
-    return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(gen_);
+    std::uint64_t hi = 0;
+    std::uint64_t lo = mul_wide(next(), n, hi);
+    if (lo < n) {
+      const std::uint64_t threshold = (0 - n) % n;
+      while (lo < threshold) lo = mul_wide(next(), n, hi);
+    }
+    return hi;
   }
 
-  /// Gaussian with mean mu and standard deviation sigma.
+  /// Gaussian with mean mu and standard deviation sigma (Marsaglia polar
+  /// method; see the header comment for the draws consumed).
   double gaussian(double mu, double sigma) {
-    return std::normal_distribution<double>(mu, sigma)(gen_);
+    if (has_spare_) {
+      has_spare_ = false;
+      return mu + sigma * spare_;
+    }
+    double v1 = 0.0;
+    double v2 = 0.0;
+    double s = 0.0;
+    do {
+      v1 = 2.0 * uniform() - 1.0;
+      v2 = 2.0 * uniform() - 1.0;
+      s = v1 * v1 + v2 * v2;
+    } while (s >= 1.0 || s == 0.0);
+    const double f = std::sqrt(-2.0 * std::log(s) / s);
+    spare_ = v2 * f;
+    has_spare_ = true;
+    return mu + sigma * (v1 * f);
   }
 
-  /// Exponential with the given mean (not rate).
+  /// Exponential with the given mean (not rate), by inversion.
   double exponential_mean(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(gen_);
+    return -mean * std::log1p(-uniform());
   }
 
   /// Bernoulli trial.
   bool chance(double p) { return uniform() < p; }
 
-  std::mt19937_64& engine() { return gen_; }
-
  private:
-  std::mt19937_64 gen_;
+  /// Raw draw number counter_ (then advance): splitmix64(key + gamma * k).
+  std::uint64_t next() { return splitmix64(key_ + kSplitMixGamma * counter_++); }
+
+  /// Full 64x64 -> 128-bit product: returns the low word, stores the high.
+  static std::uint64_t mul_wide(std::uint64_t a, std::uint64_t b,
+                                std::uint64_t& hi) {
+    const std::uint64_t a_lo = a & 0xffffffffULL;
+    const std::uint64_t a_hi = a >> 32;
+    const std::uint64_t b_lo = b & 0xffffffffULL;
+    const std::uint64_t b_hi = b >> 32;
+    const std::uint64_t p0 = a_lo * b_lo;
+    const std::uint64_t p1 = a_lo * b_hi;
+    const std::uint64_t p2 = a_hi * b_lo;
+    const std::uint64_t mid =
+        (p0 >> 32) + (p1 & 0xffffffffULL) + (p2 & 0xffffffffULL);
+    hi = a_hi * b_hi + (p1 >> 32) + (p2 >> 32) + (mid >> 32);
+    return (mid << 32) | (p0 & 0xffffffffULL);
+  }
+
+  std::uint64_t key_;
+  std::uint64_t counter_ = 0;
+  double spare_ = 0.0;
+  bool has_spare_ = false;
 };
 
 }  // namespace emc::sim

@@ -47,6 +47,46 @@ TEST(SeedStream, KeyedRngReproduces) {
   EXPECT_NE(sim::Rng::keyed(9, 3).uniform(), c.uniform());
 }
 
+// Pearson correlation of the pairs (x[i], x[i + 1]).
+double lag1_correlation(const std::vector<double>& x) {
+  const std::size_t n = x.size() - 1;
+  double ma = 0.0, mb = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    ma += x[i];
+    mb += x[i + 1];
+  }
+  ma /= n;
+  mb /= n;
+  double sab = 0.0, saa = 0.0, sbb = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = x[i] - ma;
+    const double b = x[i + 1] - mb;
+    sab += a * b;
+    saa += a * a;
+    sbb += b * b;
+  }
+  return sab / std::sqrt(saa * sbb);
+}
+
+TEST(SeedStream, AdjacentStreamsAreUncorrelated) {
+  // Device instance ids are consecutive, so neighbouring streams
+  // keyed(s, i) and keyed(s, i + 1) must not echo each other. Under
+  // independence the sample correlation has standard error 1/sqrt(n);
+  // the bound is 5 of them.
+  constexpr std::size_t kN = 1000000;
+  for (std::uint64_t seed : {0ULL, 1ULL, 2026ULL}) {
+    std::vector<double> first_uniform(kN + 1);
+    std::vector<double> first_gaussian(kN + 1);
+    for (std::size_t i = 0; i <= kN; ++i) {
+      first_uniform[i] = sim::Rng::keyed(seed, i).uniform();
+      first_gaussian[i] = sim::Rng::keyed(seed, i).gaussian(0.0, 1.0);
+    }
+    const double bound = 5.0 / std::sqrt(double(kN));
+    EXPECT_LT(std::abs(lag1_correlation(first_uniform)), bound) << seed;
+    EXPECT_LT(std::abs(lag1_correlation(first_gaussian)), bound) << seed;
+  }
+}
+
 // ---- variation sampling ----------------------------------------------------
 
 TEST(Variation, SamplesAreOrderIndependent) {

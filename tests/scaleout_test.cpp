@@ -345,6 +345,30 @@ TEST_F(ScaleOutTest, TrialsOverrideScalesTheTrialAxis) {
   EXPECT_EQ(lines, 61u);
 }
 
+TEST_F(ScaleOutTest, SingleTrialRunStillCarriesTrialSeed) {
+  // --trials 1 is still a replicated run: its rows carry trial 0 and the
+  // same trial seed as trial 0 of a larger run, on both the streaming
+  // (driver) and the materialized (Workbench::run) path.
+  ASSERT_EQ(emc::repro::driver_run({"run", "zz_scale", "--trials", "1"}), 0);
+  const std::string one = read_file("zz_scale_trials.csv");
+  ASSERT_EQ(emc::repro::driver_run({"run", "zz_scale", "--trials", "2"}), 0);
+  std::istringstream two(read_file("zz_scale_trials.csv"));
+  std::string want;
+  std::string line;
+  for (std::size_t i = 0; std::getline(two, line); ++i) {
+    // Header, then every grid point's trial-0 row.
+    if (i == 0 || i % 2 == 1) want += line + "\n";
+  }
+  EXPECT_EQ(one, want);
+
+  RunContext ctx;
+  ctx.seed = 77;
+  ctx.trials_override = 1;
+  emc::exp::Workbench materialized = zz_scale_bench(ctx);
+  materialized.run(zz_scale_body);
+  EXPECT_EQ(materialized.table().to_csv(), want);
+}
+
 // --- result cache ------------------------------------------------------
 
 TEST_F(ScaleOutTest, CacheStoresThenServesByteIdenticalArtifacts) {
