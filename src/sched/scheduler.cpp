@@ -45,13 +45,26 @@ void Processor::slice() {
   if (!model_->operational(vdd)) {
     // Stall and wait for the harvester to refill the store.
     const sim::Time hint = store_->retry_hint();
-    auto resume = [this, weak = std::weak_ptr<bool>(alive_)] {
-      if (auto t = weak.lock(); t && *t && busy_) slice();
-    };
     if (hint != sim::kTimeMax) {
-      kernel_->schedule(hint, resume);
-    } else {
-      store_->on_wake(resume);
+      kernel_->schedule(hint, [this, weak = std::weak_ptr<bool>(alive_)] {
+        if (auto t = weak.lock(); t && *t && busy_) slice();
+      });
+      return;
+    }
+    // Supply listeners are permanent, so the processor registers one
+    // listener for its lifetime and arms it per stall: a wake resumes
+    // only a processor that is stalled, exactly once. (A listener per
+    // stall would fire stale resumes into later, running tasks and
+    // start parallel slice chains on one processor.)
+    awaiting_wake_ = true;
+    if (!wake_listener_) {
+      wake_listener_ = true;
+      store_->on_wake([this, weak = std::weak_ptr<bool>(alive_)] {
+        auto t = weak.lock();
+        if (!t || !*t || !awaiting_wake_) return;
+        awaiting_wake_ = false;
+        if (busy_) slice();
+      });
     }
     return;
   }

@@ -65,6 +65,8 @@ class Processor {
   supply::StorageCap* store_;
   double ops_per_s_1v_;
   bool busy_ = false;
+  bool awaiting_wake_ = false;  // stalled; the store's wake resumes slice()
+  bool wake_listener_ = false;  // on_wake listener registered (once)
   Task current_;
   double remaining_ops_ = 0.0;
   std::function<void(bool)> cb_;

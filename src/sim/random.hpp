@@ -81,13 +81,14 @@ class Rng {
   /// would bias it (Lemire, "Fast Random Integer Generation in an
   /// Interval", TOMACS 2019).
   std::uint64_t index(std::uint64_t n) {
-    std::uint64_t hi = 0;
-    std::uint64_t lo = mul_wide(next(), n, hi);
-    if (lo < n) {
+    unsigned __int128 p = static_cast<unsigned __int128>(next()) * n;
+    if (static_cast<std::uint64_t>(p) < n) {
       const std::uint64_t threshold = (0 - n) % n;
-      while (lo < threshold) lo = mul_wide(next(), n, hi);
+      while (static_cast<std::uint64_t>(p) < threshold) {
+        p = static_cast<unsigned __int128>(next()) * n;
+      }
     }
-    return hi;
+    return static_cast<std::uint64_t>(p >> 64);
   }
 
   /// Gaussian with mean mu and standard deviation sigma (Marsaglia polar
@@ -122,22 +123,6 @@ class Rng {
  private:
   /// Raw draw number counter_ (then advance): splitmix64(key + gamma * k).
   std::uint64_t next() { return splitmix64(key_ + kSplitMixGamma * counter_++); }
-
-  /// Full 64x64 -> 128-bit product: returns the low word, stores the high.
-  static std::uint64_t mul_wide(std::uint64_t a, std::uint64_t b,
-                                std::uint64_t& hi) {
-    const std::uint64_t a_lo = a & 0xffffffffULL;
-    const std::uint64_t a_hi = a >> 32;
-    const std::uint64_t b_lo = b & 0xffffffffULL;
-    const std::uint64_t b_hi = b >> 32;
-    const std::uint64_t p0 = a_lo * b_lo;
-    const std::uint64_t p1 = a_lo * b_hi;
-    const std::uint64_t p2 = a_hi * b_lo;
-    const std::uint64_t mid =
-        (p0 >> 32) + (p1 & 0xffffffffULL) + (p2 & 0xffffffffULL);
-    hi = a_hi * b_hi + (p1 >> 32) + (p2 >> 32) + (mid >> 32);
-    return (mid << 32) | (p0 & 0xffffffffULL);
-  }
 
   std::uint64_t key_;
   std::uint64_t counter_ = 0;

@@ -111,8 +111,9 @@ class Supply {
   }
 
   void fire_wake() {
-    // A listener may call on_wake() from inside its own callback (the
-    // scheduler re-arms itself when it stalls again mid-wake). Walking
+    // A listener may call on_wake() from inside its own callback (a
+    // resumed task frees a processor whose next task stalls for the
+    // first time and registers its resume). Walking
     // wake_listeners_ in place would let that push_back reallocate the
     // vector and destroy the closure currently executing, so the firing
     // set is moved into stable local storage first; registrations made

@@ -188,6 +188,39 @@ TEST(Scheduler, ProcessorExecutesAndDrawsEnergy) {
   EXPECT_GT(proc.ops_per_s(1.0), proc.ops_per_s(0.4));
 }
 
+TEST(Scheduler, WakeResumesAStalledProcessorOnce) {
+  // Two tasks, each started on a store below the operating voltage, so
+  // each stalls until a recharge wakes the store. A resume left over
+  // from the first stall must not fire into the second task: a second
+  // slice chain on one processor would finish it in about half the time.
+  sim::Kernel kernel;
+  device::DelayModel model{device::Tech::umc90()};
+  supply::StorageCap store(kernel, "store", 2e-6, 0.10);
+  store.set_wake_threshold(0.16);
+  Processor proc(kernel, model, store);
+  Task t;
+  t.work_ops = 2000;
+
+  auto run_from_stall = [&] {
+    bool done = false;
+    proc.execute(t, [&](bool ok) { done = ok; });
+    kernel.run_until(kernel.now() + sim::ms(1));
+    EXPECT_FALSE(done);  // stalled below vmin_operate
+    store.deposit_charge(2e-6 * (0.9 - store.voltage()));  // wakes
+    const sim::Time woke = kernel.now();
+    while (!done && kernel.step()) {
+    }
+    EXPECT_TRUE(done);
+    const sim::Time took = kernel.now() - woke;
+    store.draw(store.charge() - 2e-6 * 0.10, 0.0);  // back below vmin
+    return took;
+  };
+  const sim::Time first = run_from_stall();
+  const sim::Time second = run_from_stall();
+  EXPECT_GT(first, 0);
+  EXPECT_NEAR(double(second), double(first), 0.05 * double(first));
+}
+
 TEST(Scheduler, EnergyTokenBeatsFixedRateOnBrownouts) {
   // Overloaded workload on a weak harvester: the naive scheduler drains
   // the store and aborts work; the token scheduler defers instead.

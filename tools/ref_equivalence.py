@@ -16,7 +16,7 @@ compared per aggregate group. Columns reported as `<col>_mean` get a
 Welch z on the trial values, columns reported as `<col>_yield` a
 two-proportion z on the share of non-zero trials. The output is one
 markdown row per (figure, metric): the largest |z| over the groups and
-where it occurred. Exit status 1 if any |z| exceeds --flag (default 4).
+where it occurred. Exit status 1 if any |z| exceeds FLAG_Z.
 """
 import argparse
 import csv
@@ -24,6 +24,9 @@ import math
 import os
 import sys
 from collections import defaultdict
+
+# |z| above which a metric is flagged (README, determinism contract).
+FLAG_Z = 4.0
 
 
 def welch(a, b):
@@ -84,8 +87,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("old_dir")
     ap.add_argument("new_dir")
-    ap.add_argument("--flag", type=float, default=4.0,
-                    help="|z| above which a metric is flagged (default 4)")
     args = ap.parse_args()
 
     names = sorted(
@@ -102,10 +103,10 @@ def main():
     for name in names:
         for metric, kind, ng, n, z, g, vo, vn in compare(
                 args.old_dir, args.new_dir, name):
-            flagged += abs(z) > args.flag
+            flagged += abs(z) > FLAG_Z
             print(f"| {name} | {metric} ({kind}) | {ng} | {n} | {z:+.2f} | "
                   f"{'/'.join(g)} | {vo:.4g} | {vn:.4g} |")
-    print(f"\n{flagged} metric(s) with abs(z) > {args.flag:g}")
+    print(f"\n{flagged} metric(s) with abs(z) > {FLAG_Z:g}")
     return 1 if flagged else 0
 
 
