@@ -21,10 +21,15 @@
 // the handshake sink at a quarter of the rate — one environment, three
 // correlated fault processes, all drawn from counter-based streams.
 //
-// Determinism contract: byte-identical CSVs at any EMC_SWEEP_THREADS
-// and under both EMC_EVENT_QUEUE=heap and =ladder — the FaultPlan
-// schedule is pure in (trial_seed, stream) and the kernel dispatches
-// identically on both queue structures.
+// Determinism contract: byte-identical CSVs at any EMC_SWEEP_THREADS —
+// the FaultPlan schedule is pure in (trial_seed, stream), and the
+// kernel dispatches in (time, schedule order) whatever the thread
+// count.
+//
+// The figure reports no energy, so both circuits run without an energy
+// meter (ContextConfig::meter(false)); the meter is pure accounting and
+// never feeds back into the simulation. An energy-ledger mode (see
+// ROADMAP) would turn it back on.
 #include <cstdio>
 #include <string>
 
@@ -107,6 +112,7 @@ TrialOutcome run_trial(const std::string& kind, double dropout_hz,
   {
     auto ex = exp::ContextConfig::with(supply_for(kind))
                   .trial(p)
+                  .meter(false)
                   .build();
     async::ToggleRippleCounter ctr(ex.ctx(), "osc", kOscStages);
     ctr.start();
@@ -132,6 +138,7 @@ TrialOutcome run_trial(const std::string& kind, double dropout_hz,
   {
     auto ex = exp::ContextConfig::with(supply_for(kind))
                   .trial(p)
+                  .meter(false)
                   .build();
     sim::Wire req(ex.kernel(), "req", false), ack(ex.kernel(), "ack", false);
     async::Channel ch{&req, &ack};

@@ -9,9 +9,9 @@
 //                          model + supply draw + energy meter
 //   * sram_ops           — speed-independent SRAM write transactions
 //   * sweep_throughput   — sweep events/s via summed Kernel::Stats
-//   * queue_{uniform,monotone,cancel}_{heap,ladder}
-//                        — hold-model shape benches pinning each
-//                          priority structure's envelope (see below)
+//   * queue_{uniform,monotone,cancel}_heap
+//                        — hold-model shape benches pinning the event
+//                          queue's envelope (see below)
 //   * sweep_dispatch_raw — per-scenario dispatch cost of the raw
 //                          SweepRunner (trivial bodies, 1 thread)
 //   * workbench_overhead — the same trivial sweep through the full
@@ -285,22 +285,22 @@ BenchResult bench_workbench_overhead(bool smoke, std::size_t n) {
 // The classic "hold" model isolates the priority structure: keep the
 // queue at a fixed depth, and per operation pop the earliest event and
 // schedule a replacement whose offset is drawn from the shape's
-// distribution. Three shapes bound the structures' envelope:
-//   * uniform — offsets spread over a wide horizon; the heap's home
-//     turf (log-depth sifts, no order to exploit), the ladder's
-//     bucket-spread case.
+// distribution. Three shapes bound the queue's envelope:
+//   * uniform — offsets spread over a wide horizon (log-depth sifts,
+//     no order to exploit).
 //   * monotone — offsets within a few ticks (oscillators, handshake
-//     rings); near-sorted inserts, the ladder's design case.
+//     rings); near-sorted inserts.
 //   * cancel — every op also schedules a far-future watchdog and
 //     cancels it; stale entries accumulate until compaction, the
 //     pattern that used to grow queues without bound.
-// Each shape runs on both structures so the JSON records the envelope
-// per structure, not a blended average.
+// The names keep their historical `_heap` suffix so recorded baseline
+// rows still match. At depth 4096 almost every entry lives in the
+// binary heap; the near lane only matters for shallow queues.
 
 enum class QueueShape { kUniform, kMonotone, kCancel };
 
-std::uint64_t queue_hold_ops(sim::QueueKind kind, QueueShape shape,
-                             std::size_t depth, std::uint64_t ops) {
+std::uint64_t queue_hold_ops(QueueShape shape, std::size_t depth,
+                             std::uint64_t ops) {
   // Deterministic xorshift: the same schedule every batch, every run.
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
   auto rnd = [&state] {
@@ -311,7 +311,7 @@ std::uint64_t queue_hold_ops(sim::QueueKind kind, QueueShape shape,
   };
   const std::uint64_t span =
       shape == QueueShape::kMonotone ? 16 : 1'000'000;
-  sim::EventQueue q(kind);
+  sim::EventQueue q;
   sim::Time now = 0;
   for (std::size_t i = 0; i < depth; ++i) {
     q.schedule(1 + rnd() % span, [] {});
@@ -335,12 +335,12 @@ std::uint64_t queue_hold_ops(sim::QueueKind kind, QueueShape shape,
   return fired;
 }
 
-BenchResult bench_queue_shape(const char* name, sim::QueueKind kind,
-                              QueueShape shape, bool smoke) {
+BenchResult bench_queue_shape(const char* name, QueueShape shape,
+                              bool smoke) {
   const std::size_t depth = 4096;
   const std::uint64_t ops = smoke ? 100'000 : 2'000'000;
-  return run_bench(name, "ops/s", smoke ? 3 : 5, [kind, shape, depth, ops] {
-    g_sink = double(queue_hold_ops(kind, shape, depth, ops));
+  return run_bench(name, "ops/s", smoke ? 3 : 5, [shape, depth, ops] {
+    g_sink = double(queue_hold_ops(shape, depth, ops));
     return ops;
   });
 }
@@ -396,24 +396,12 @@ std::vector<BenchResult> run_suite(bool smoke) {
   results.push_back(bench_gate_oscillator(smoke));
   results.push_back(bench_sram_ops(smoke));
   results.push_back(bench_sweep_throughput(smoke));
-  results.push_back(bench_queue_shape("queue_uniform_heap",
-                                      sim::QueueKind::kBinaryHeap,
-                                      QueueShape::kUniform, smoke));
-  results.push_back(bench_queue_shape("queue_uniform_ladder",
-                                      sim::QueueKind::kLadder,
-                                      QueueShape::kUniform, smoke));
-  results.push_back(bench_queue_shape("queue_monotone_heap",
-                                      sim::QueueKind::kBinaryHeap,
-                                      QueueShape::kMonotone, smoke));
-  results.push_back(bench_queue_shape("queue_monotone_ladder",
-                                      sim::QueueKind::kLadder,
-                                      QueueShape::kMonotone, smoke));
-  results.push_back(bench_queue_shape("queue_cancel_heap",
-                                      sim::QueueKind::kBinaryHeap,
-                                      QueueShape::kCancel, smoke));
-  results.push_back(bench_queue_shape("queue_cancel_ladder",
-                                      sim::QueueKind::kLadder,
-                                      QueueShape::kCancel, smoke));
+  results.push_back(
+      bench_queue_shape("queue_uniform_heap", QueueShape::kUniform, smoke));
+  results.push_back(
+      bench_queue_shape("queue_monotone_heap", QueueShape::kMonotone, smoke));
+  results.push_back(
+      bench_queue_shape("queue_cancel_heap", QueueShape::kCancel, smoke));
   const std::size_t dispatch_n = smoke ? 2'000 : 20'000;
   results.push_back(bench_sweep_dispatch_raw(smoke, dispatch_n));
   results.push_back(bench_workbench_overhead(smoke, dispatch_n));

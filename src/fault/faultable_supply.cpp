@@ -14,14 +14,16 @@ FaultableSupply::FaultableSupply(supply::Supply& inner)
   inner.on_wake([this] { fire_wake(); });
 }
 
-double FaultableSupply::scale() const {
-  if (active_.empty()) return 1.0;
-  return *std::min_element(active_.begin(), active_.end());
+void FaultableSupply::update_scale() {
+  scale_ = active_.empty()
+               ? 1.0
+               : *std::min_element(active_.begin(), active_.end());
 }
 
 void FaultableSupply::begin_fault(double scale) {
   active_.push_back(scale < 0.0 ? 0.0 : scale);
   ++faults_seen_;
+  update_scale();
   bump_voltage_epoch();
 }
 
@@ -29,6 +31,7 @@ void FaultableSupply::end_fault(double scale) {
   const auto it =
       std::find(active_.begin(), active_.end(), scale < 0.0 ? 0.0 : scale);
   if (it != active_.end()) active_.erase(it);
+  update_scale();
   bump_voltage_epoch();
   // Recovery wake: parked gates re-sample the (possibly restored)
   // voltage. Harmless if another, deeper window is still active — the

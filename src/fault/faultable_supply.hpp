@@ -18,7 +18,8 @@
 // small multiset-like vector, end_fault(scale) retires one instance of
 // that scale, and the effective scale is the minimum — the deepest
 // active fault wins, and symmetric removal keeps overlap handling
-// order-independent.
+// order-independent. The effective scale is cached and updated as
+// windows open and close, so voltage() is one multiply.
 #pragma once
 
 #include <vector>
@@ -33,7 +34,7 @@ class FaultableSupply final : public supply::Supply {
   /// reading the rail they always did).
   explicit FaultableSupply(supply::Supply& inner);
 
-  double voltage() const override { return inner_->voltage() * scale(); }
+  double voltage() const override { return inner_->voltage() * scale_; }
 
   void draw(double charge, double energy) override {
     Supply::draw(charge, energy);  // wrapper-side bookkeeping + guard
@@ -57,10 +58,11 @@ class FaultableSupply final : public supply::Supply {
   const supply::Supply& inner() const { return *inner_; }
 
  private:
-  double scale() const;
+  void update_scale();
 
   supply::Supply* inner_;
   std::vector<double> active_;
+  double scale_ = 1.0;  ///< min of active_, 1.0 when none
   std::uint64_t faults_seen_ = 0;
 };
 

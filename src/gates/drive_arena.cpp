@@ -14,6 +14,8 @@ DriveArena::Slot DriveArena::acquire(double delay_cload, double switch_cload,
   } else {
     s = static_cast<Slot>(epoch_.size());
     epoch_.push_back(0);
+    delay_epoch_.push_back(0);
+    vdd_.push_back(0.0);
     delay_.push_back(0);
     charge_.push_back(0.0);
     energy_.push_back(0.0);
@@ -23,7 +25,7 @@ DriveArena::Slot DriveArena::acquire(double delay_cload, double switch_cload,
     vth_offset_.push_back(0.0);
     strength_.push_back(1.0);
   }
-  epoch_[s] = 0;
+  invalidate(s);
   op_[s] = kOpUnknown;
   delay_cload_[s] = delay_cload;
   switch_cload_[s] = switch_cload;
@@ -39,29 +41,38 @@ void DriveArena::release(Slot s) {
 }
 
 bool DriveArena::refresh(Slot s, const supply::Supply& supply,
-                         const device::DelayModel& model) {
+                         const device::DelayModel& model, Need need) {
   const std::uint64_t e = supply.voltage_epoch();
-  if (e == epoch_[s]) return op_[s] == kOpUp;
-  epoch_[s] = e;
-  const double vdd = supply.voltage();
-  const std::uint8_t prev = op_[s];
-  if (!model.operational(vdd)) {
-    delay_[s] = kDriveStalled;
-    if (prev != kOpStalled) {
-      op_[s] = kOpStalled;
-      ++stalled_live_;
-      ++stall_entries_;
+  if (e != epoch_[s]) {
+    epoch_[s] = e;
+    const double vdd = supply.voltage();
+    vdd_[s] = vdd;
+    const std::uint8_t prev = op_[s];
+    if (!model.operational(vdd)) {
+      delay_[s] = kDriveStalled;
+      delay_epoch_[s] = e;
+      if (prev != kOpStalled) {
+        op_[s] = kOpStalled;
+        ++stalled_live_;
+        ++stall_entries_;
+      }
+      return false;
     }
+    if (prev == kOpStalled) {
+      --stalled_live_;
+      ++recoveries_;
+    }
+    op_[s] = kOpUp;
+    charge_[s] = model.switching_charge(vdd, switch_cload_[s]);
+    energy_[s] = model.switching_energy(vdd, switch_cload_[s]);
+  } else if (op_[s] != kOpUp) {
     return false;
   }
-  if (prev == kOpStalled) {
-    --stalled_live_;
-    ++recoveries_;
+  if (need == Need::kWithDelay && delay_epoch_[s] != e) {
+    delay_epoch_[s] = e;
+    delay_[s] =
+        model.delay(vdd_[s], delay_cload_[s], vth_offset_[s], strength_[s]);
   }
-  op_[s] = kOpUp;
-  delay_[s] = model.delay(vdd, delay_cload_[s], vth_offset_[s], strength_[s]);
-  charge_[s] = model.switching_charge(vdd, switch_cload_[s]);
-  energy_[s] = model.switching_energy(vdd, switch_cload_[s]);
   return true;
 }
 

@@ -4,12 +4,26 @@
 // quasi-static drive state: the supply-epoch stamp, the operational
 // flag, the cached propagation delay and per-transition charge/energy,
 // plus the device point that parameterizes them (load capacitances,
-// Vth offset, drive strength). One arena lives inside each
-// gates::Context, so a circuit's hot state sits in a handful of dense
-// arrays instead of being scattered across gate objects: the
-// epoch-check every event performs touches one cache-packed lane, and
-// a supply-epoch bump (Fig. 4 style modulated supplies) re-walks
-// arrays the prefetcher likes instead of pointer-chasing the netlist.
+// Vth offset, drive strength).
+//
+// When the delay is computed: an element refreshes its slot twice per
+// transition — once when it schedules the transition (it needs the
+// delay) and once when the transition lands (it needs only the
+// operational flag, charge and energy to bill the draw). On a
+// capacitor-backed rail every draw moves the voltage and bumps the
+// epoch, so both refreshes miss. refresh() therefore recomputes the
+// delay only in its with-delay mode, and only when the slot's delay
+// stamp lags the epoch; the voltage seen at the epoch's first refresh is
+// kept so the delay is evaluated at exactly the point the operational
+// flag, charge and energy were. An apply-time refresh leaves the delay
+// lane stale, where nothing reads it.
+//
+// One arena lives inside each gates::Context, so a circuit's hot state
+// sits in a handful of dense arrays instead of being scattered across
+// gate objects: the epoch-check every event performs touches one
+// cache-packed lane, and a supply-epoch bump (Fig. 4 style modulated
+// supplies) re-walks arrays the prefetcher likes instead of
+// pointer-chasing the netlist.
 //
 // Slots are index-stable for the element's lifetime (elements capture
 // their slot in scheduled callbacks) and recycled through a free list
@@ -70,18 +84,29 @@ class DriveArena {
   /// Return a slot to the free list (element destruction).
   void release(Slot s);
 
+  /// What a refresh() caller is about to read.
+  enum class Need : std::uint8_t {
+    kDraw,       ///< operational flag, charge and energy (apply time)
+    kWithDelay,  ///< also the delay (schedule time)
+  };
+
   /// Revalidate slot `s` against the supply; returns the operational
   /// flag at the current voltage. Recomputes only when the supply's
   /// voltage_epoch() has advanced past the slot's stamp — on a constant
-  /// supply the delay model runs exactly once per element.
+  /// supply the delay model runs exactly once per element. With
+  /// Need::kWithDelay the delay lane is brought up to the epoch too.
   bool refresh(Slot s, const supply::Supply& supply,
-               const device::DelayModel& model);
+               const device::DelayModel& model, Need need);
 
-  /// Force the next refresh() of `s` to recompute (the element's own
-  /// device point changed).
-  void invalidate(Slot s) { epoch_[s] = 0; }
+  /// Force the next refresh() of `s` to recompute everything (the
+  /// element's own device point changed).
+  void invalidate(Slot s) {
+    epoch_[s] = 0;
+    delay_epoch_[s] = 0;
+  }
 
-  // --- cached drive state (valid after a true refresh()) ---
+  // --- cached drive state (valid after a true refresh(); the delay
+  // only after a true Need::kWithDelay refresh) ---
   sim::Time delay(Slot s) const { return delay_[s]; }
   double charge(Slot s) const { return charge_[s]; }
   double energy(Slot s) const { return energy_[s]; }
@@ -116,6 +141,8 @@ class DriveArena {
  private:
   // Hot lanes: read on every refresh() (i.e. every scheduled output).
   std::vector<std::uint64_t> epoch_;  // 0 = invalid (epochs start at 1)
+  std::vector<std::uint64_t> delay_epoch_;  // epoch delay_ belongs to
+  std::vector<double> vdd_;  // supply voltage at epoch_'s first refresh
   std::vector<sim::Time> delay_;
   std::vector<double> charge_;
   std::vector<double> energy_;

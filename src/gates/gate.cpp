@@ -47,7 +47,7 @@ void Gate::on_input_change() {
 }
 
 void Gate::schedule_output(bool target) {
-  if (!ctx_->refresh_drive(hot_)) {
+  if (!ctx_->refresh_drive(hot_, DriveArena::Need::kWithDelay)) {
     stall_target_ = target;
     enter_stall();
     return;
@@ -62,7 +62,7 @@ void Gate::schedule_output(bool target) {
 void Gate::apply_output(bool target, std::uint64_t generation) {
   if (!pending_ || generation != generation_) return;  // retracted
   pending_ = false;
-  if (!ctx_->refresh_drive(hot_)) {
+  if (!ctx_->refresh_drive(hot_, DriveArena::Need::kDraw)) {
     // Supply collapsed while the transition was in flight: the output
     // never made it; park and retry on recovery.
     stall_target_ = target;
@@ -107,7 +107,7 @@ void Gate::retry() {
   // Sync the arena's operational lane even when the output ends up not
   // moving — quiescence probes read it, and a stale stalled flag would
   // misreport a recovered circuit as kQuiesced.
-  ctx_->refresh_drive(hot_);
+  ctx_->refresh_drive(hot_, DriveArena::Need::kDraw);
   if (ctx_->brownout_policy == BrownoutPolicy::kLoseState) {
     // Power-on reset: the retention voltage was violated, so the node
     // re-initializes low (an undriven settling — no supply charge is

@@ -7,6 +7,11 @@
 // droop per transition is ~1e-5 of Vdd). When the transition matures the
 // gate draws C*V and C*V^2 from the supply and reports to the meter.
 //
+// The delay model runs only on the schedule path, and only when the
+// supply's voltage epoch has moved since the gate last scheduled; the
+// apply path re-checks the rail for the operational flag and the
+// charge/energy to draw, never for a delay (see DriveArena).
+//
 // Inertial semantics: re-evaluation while a transition is in flight either
 // confirms it (kept), or retracts it (pulse shorter than the gate delay is
 // swallowed) — the behaviour speed-independence proofs assume.
@@ -38,6 +43,8 @@ namespace emc::gates {
 /// recomputes a slot only when the epoch advances, so on a constant
 /// supply the delay model runs exactly once per element — the
 /// quasi-static approximation the Gate header documents, made explicit.
+/// Only schedule-time refreshes (DriveArena::Need::kWithDelay) evaluate
+/// the delay.
 struct Context {
   sim::Kernel& kernel;
   const device::DelayModel& model;
@@ -51,8 +58,8 @@ struct Context {
 
   /// Revalidate drive slot `s` against this context's supply; returns
   /// whether the element is operational at the current voltage.
-  bool refresh_drive(DriveArena::Slot s) {
-    return drives.refresh(s, supply, model);
+  bool refresh_drive(DriveArena::Slot s, DriveArena::Need need) {
+    return drives.refresh(s, supply, model, need);
   }
 };
 

@@ -27,7 +27,7 @@ void Toggle::on_input() {
 
 void Toggle::try_fire() {
   if (unserved_ == 0) return;
-  if (!ctx_->refresh_drive(hot_)) {
+  if (!ctx_->refresh_drive(hot_, DriveArena::Need::kWithDelay)) {
     enter_stall();
     return;
   }
@@ -37,7 +37,7 @@ void Toggle::try_fire() {
 
 void Toggle::apply() {
   in_flight_ = false;
-  if (!ctx_->refresh_drive(hot_)) {
+  if (!ctx_->refresh_drive(hot_, DriveArena::Need::kDraw)) {
     enter_stall();
     return;
   }
@@ -82,7 +82,7 @@ void Toggle::retry() {
   stalled_ = false;
   // Keep the arena's operational lane honest even when nothing is queued
   // (quiescence probes read it).
-  ctx_->refresh_drive(hot_);
+  ctx_->refresh_drive(hot_, DriveArena::Need::kDraw);
   if (ctx_->brownout_policy == BrownoutPolicy::kLoseState) {
     // Power-on reset: queued events and the phase are dynamic state and
     // do not survive a retention violation; outputs settle low undriven

@@ -15,20 +15,18 @@
 // frees its slot immediately; its entry goes stale and is purged when it
 // surfaces, so nothing accumulates on long runs.
 //
-// Two interchangeable priority structures sit on top of the slab, chosen
-// at construction (QueueKind) or via EMC_EVENT_QUEUE=heap|ladder:
-//   * kBinaryHeap — an implicit binary heap with hole-based sifting
-//     (Floyd's bottom-up delete). Dependable O(log n) everything; the
-//     default.
-//   * kLadder — a calendar/ladder queue: inserts append into an
-//     unsorted overflow list (O(1)), which is spread into time buckets
-//     and sorted one rung at a time as the clock reaches it. Wins on
-//     schedule-heavy workloads whose timestamps are near-monotone over
-//     a short horizon (oscillators, handshake rings), the worst case
-//     for sift-based heaps.
-// Both produce the exact same pop order — (time, then schedule order) —
-// and honour the same cancel/clear contract; tests/ladder_queue_test.cpp
-// holds them to byte-identical behaviour on randomized schedules.
+// One priority structure sits on top of the slab: an implicit binary
+// heap with hole-based sifting (Floyd's bottom-up delete), fronted by a
+// fixed-capacity near lane of kNearLane entries. The lane holds the
+// earliest entries sorted latest-first, so the next event to fire is at
+// its back, and it never holds an entry that fires later than the heap
+// root. Self-timed circuits keep only a few events near the front while
+// far-future fault windows, harvester ticks and watchdogs wait deeper
+// in: those near events are inserted and popped in the lane without a
+// heap sift, and the heap only sees the far entries and lane overflow.
+// Pop order is (time, then schedule order) regardless of which part an
+// entry sits in; tests/event_queue_test.cpp holds the queue to a
+// sorted (time, seq) reference model on randomized schedules.
 #pragma once
 
 #include <cstdint>
@@ -46,22 +44,8 @@ namespace emc::sim {
 /// can never touch the event that reused its slot. 0 is never a valid id.
 using EventId = std::uint64_t;
 
-/// Priority-structure selection for EventQueue / Kernel.
-enum class QueueKind {
-  kAuto,        ///< EMC_EVENT_QUEUE env var ("heap" / "ladder"), else heap
-  kBinaryHeap,  ///< implicit binary heap (general-purpose default)
-  kLadder,      ///< calendar/ladder queue (near-monotone schedules)
-};
-
-/// Resolve kAuto against the EMC_EVENT_QUEUE environment variable
-/// ("heap" or "ladder"; anything else falls back to the heap). Explicit
-/// kinds pass through unchanged.
-QueueKind resolve_queue_kind(QueueKind requested);
-
 class EventQueue {
  public:
-  explicit EventQueue(QueueKind kind = QueueKind::kAuto);
-
   /// Schedule `action` at absolute time `t`. Returns a handle that can be
   /// passed to cancel(). Takes the action by rvalue so the callable is
   /// moved exactly once — from the caller's temporary straight into its
@@ -113,9 +97,6 @@ class EventQueue {
 
   // --- introspection (stats reporting and tests) ---
 
-  /// The resolved priority structure (never kAuto).
-  QueueKind kind() const { return kind_; }
-
   /// High-water mark of live events.
   std::size_t peak_live() const { return peak_live_; }
 
@@ -124,13 +105,15 @@ class EventQueue {
   /// unbounded cancelled-id list.
   std::size_t slab_capacity() const { return slots_.size(); }
 
-  /// Pending priority-structure entries including stale (cancelled) ones
-  /// awaiting purge, for either structure.
-  std::size_t heap_entries() const {
-    return kind_ == QueueKind::kLadder ? entries_ : heap_.size();
-  }
+  /// Pending entries (heap plus near lane) including stale (cancelled)
+  /// ones awaiting purge.
+  std::size_t heap_entries() const { return heap_.size() + near_n_; }
 
  private:
+  /// Near-lane capacity. Eight covers the handful of events a gate
+  /// netlist keeps in flight near the front of the queue.
+  static constexpr std::uint32_t kNearLane = 8;
+
   struct Slot {
     Action action;
     std::uint32_t gen = 1;   // current generation; 0 reserved
@@ -168,42 +151,25 @@ class EventQueue {
   // --- binary heap (hole-based sift, Floyd's remove_root) ---
   void heap_push(const Entry& e);
   void heap_remove_root();
-  void heap_compact();
   // Drops stale entries off the top so heap_.front() is live. Logically
   // const: stale entries are already observably absent.
   void prune_stale_root() const;
 
-  // --- ladder / calendar queue ---
-  // Consumption order: sorted rung first (rung_[rung_pos_..]), then the
-  // buckets in index order (each sorted when it becomes the rung), then
-  // the overflow list is spread into fresh buckets. Invariant: every
-  // pending entry with t < rung_end_ lives in the rung; bucket i covers
-  // [bucket_base_ + i*width, +width); anything at/after the bucket range
-  // (or with no buckets built) waits unsorted in overflow_.
-  void ladder_insert(const Entry& e);
-  bool ladder_front() const;    // logically const lazy refill, like prune
-  bool ladder_refill() const;   // advance to the next non-empty rung
-  void spread_overflow() const; // overflow -> buckets (or straight to rung)
-  void ladder_compact();
-  void ladder_reset_ranges();
+  // --- near lane (near_[0..near_n_), latest first) ---
+  void near_insert(const Entry& e);
+  // Drops stale entries off the lane's back so near_[near_n_ - 1] is
+  // live. Logically const, like prune_stale_root().
+  void prune_stale_near() const;
 
-  QueueKind kind_;
+  // Purges stale entries from the lane and the heap (mass cancellation).
+  void compact();
+
   mutable std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // reusable slot indices
 
-  // Ladder storage (unused in heap mode). rung_pos_/entries_ mutate from
-  // const peeks (stale skipping / lazy refill), hence mutable.
-  mutable std::vector<Entry> rung_;
-  mutable std::size_t rung_pos_ = 0;
-  mutable Time rung_end_ = 0;  // exclusive; inserts below it join the rung
-  mutable std::vector<std::vector<Entry>> buckets_;  // persistent pool
-  mutable std::size_t bucket_count_ = 0;  // active prefix of buckets_
-  mutable std::size_t bucket_idx_ = 0;    // next bucket to consume
-  mutable Time bucket_base_ = 0;
-  mutable Time bucket_width_ = 1;
-  mutable std::vector<Entry> overflow_;
-  mutable std::size_t entries_ = 0;  // ladder entries incl. stale
+  Entry near_[kNearLane]{};
+  mutable std::uint32_t near_n_ = 0;
 
   std::uint64_t next_seq_ = 0;
   std::uint64_t scheduled_ = 0;

@@ -5,6 +5,11 @@
 // there is no coroutine machinery — self-timed circuits are naturally
 // event-driven, and plain callbacks keep a 100k-event/ms simulation cheap.
 //
+// There is one queue structure (see EventQueue): a binary heap behind a
+// small near lane. A circuit's in-flight transitions stay in the lane,
+// so the per-event cost does not grow with the far-future fault windows,
+// harvester ticks and watchdogs a scenario schedules up front.
+//
 // One Kernel is one scenario: kernels are cheap to instantiate by the
 // thousands (slab-backed queue, no global state) and independent kernels
 // never share mutable state, so a sweep may run one per thread. A single
@@ -100,17 +105,8 @@ class Kernel {
   };
 
   Kernel() = default;
-  /// Select the event-queue structure (see QueueKind). kAuto honours the
-  /// EMC_EVENT_QUEUE environment variable, defaulting to the binary heap;
-  /// pass kLadder for schedule-heavy near-monotone workloads
-  /// (oscillators, handshake rings). Both structures produce identical
-  /// simulations — the choice is purely a performance hint.
-  explicit Kernel(QueueKind queue) : queue_(queue) {}
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
-
-  /// The resolved queue structure this kernel dispatches from.
-  QueueKind queue_kind() const { return queue_.kind(); }
 
   /// Current simulation time.
   Time now() const { return now_; }

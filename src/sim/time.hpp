@@ -33,8 +33,21 @@ constexpr Time us(std::uint64_t v) { return v * kMicrosecond; }
 constexpr Time ms(std::uint64_t v) { return v * kMillisecond; }
 
 /// Convert a duration in seconds (e.g. from an analogue model) to ticks,
-/// rounding to the nearest femtosecond and saturating at kTimeMax.
-Time from_seconds(double seconds);
+/// rounding to the nearest femtosecond (halves away from zero, like
+/// std::llround) and saturating at kTimeMax; zero, negative and NaN
+/// durations give 0. Inline and libm-free: the delay model ends every
+/// evaluation here. Truncating and then comparing the fractional part is
+/// exact — the fraction of a double below 2^52 is representable, and
+/// above it the double is already an integer — so the result matches
+/// std::llround wherever that is defined (below 2^63 ticks) and stays
+/// correct up to 2^64 ticks, where llround's long long overflows.
+inline Time from_seconds(double seconds) {
+  if (!(seconds > 0.0)) return 0;
+  const double ticks = seconds * 1e15;
+  if (ticks >= 18446744073709551616.0) return kTimeMax;  // 2^64
+  const Time whole = static_cast<Time>(ticks);
+  return ticks - static_cast<double>(whole) >= 0.5 ? whole + 1 : whole;
+}
 
 /// Convert ticks to seconds for analogue models and reporting.
 constexpr double to_seconds(Time t) { return static_cast<double>(t) * 1e-15; }

@@ -1,9 +1,9 @@
 // Fault-injection & survivability tests.
 //
 // What is pinned here:
-//   * heap vs ladder lock-step: the same FaultPlan on the same circuit
-//     produces byte-equal RunVerdicts and counters on both event-queue
-//     structures, over randomized >=10k-event fault schedules;
+//   * run-to-run lock-step: the same FaultPlan on the same circuit,
+//     built twice on fresh kernels, produces byte-equal RunVerdicts and
+//     counters over randomized >=10k-event fault schedules;
 //   * brownout semantics: kRetainState resumes counting with no state
 //     loss; kLoseState applies a power-on reset and counts it;
 //   * the kernel watchdog: a deliberately deadlocked handshake is
@@ -38,7 +38,6 @@
 #include "gates/celement.hpp"
 #include "gates/combinational.hpp"
 #include "sensor/calibration.hpp"
-#include "sim/event_queue.hpp"
 #include "supply/battery.hpp"
 
 namespace emc::fault {
@@ -61,7 +60,7 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-// --- heap vs ladder lock-step ------------------------------------------
+// --- run-to-run lock-step ----------------------------------------------
 
 struct LockstepOutcome {
   sim::RunStatus status;
@@ -80,11 +79,10 @@ bool operator==(const LockstepOutcome& a, const LockstepOutcome& b) {
          a.faults_seen == b.faults_seen;
 }
 
-/// One faulted oscillator scenario on an explicitly chosen queue
-/// structure: near-threshold battery, randomized dropout + brownout
-/// streams, 200 us horizon.
-LockstepOutcome run_faulted(sim::QueueKind q, std::uint64_t seed) {
-  sim::Kernel kernel(q);
+/// One faulted oscillator scenario on a fresh kernel: near-threshold
+/// battery, randomized dropout + brownout streams, 200 us horizon.
+LockstepOutcome run_faulted(std::uint64_t seed) {
+  sim::Kernel kernel;
   auto ex = exp::ContextConfig::with(
                 exp::SupplyConfig::battery(0.35).faultable())
                 .build(kernel);
@@ -113,15 +111,15 @@ LockstepOutcome run_faulted(sim::QueueKind q, std::uint64_t seed) {
           ex.fault_supply()->faults_seen()};
 }
 
-TEST(FaultLockstep, HeapAndLadderProduceIdenticalVerdicts) {
+TEST(FaultLockstep, TwoFreshRunsProduceIdenticalVerdicts) {
   for (const std::uint64_t seed : {3u, 17u, 99u}) {
-    const LockstepOutcome heap = run_faulted(sim::QueueKind::kBinaryHeap, seed);
-    const LockstepOutcome ladder = run_faulted(sim::QueueKind::kLadder, seed);
-    EXPECT_TRUE(heap == ladder) << "seed " << seed;
+    const LockstepOutcome first = run_faulted(seed);
+    const LockstepOutcome second = run_faulted(seed);
+    EXPECT_TRUE(first == second) << "seed " << seed;
     // The schedule must be substantial, not a trivial handful of events.
-    EXPECT_GE(heap.events, 10000u) << "seed " << seed;
-    EXPECT_GT(heap.faults_seen, 0u) << "seed " << seed;
-    EXPECT_GT(heap.stall_entries, 0u) << "seed " << seed;
+    EXPECT_GE(first.events, 10000u) << "seed " << seed;
+    EXPECT_GT(first.faults_seen, 0u) << "seed " << seed;
+    EXPECT_GT(first.stall_entries, 0u) << "seed " << seed;
   }
 }
 

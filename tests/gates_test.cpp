@@ -14,6 +14,7 @@
 #include "gates/energy_meter.hpp"
 #include "gates/mutex.hpp"
 #include "gates/toggle.hpp"
+#include "supply/ac_supply.hpp"
 #include "supply/battery.hpp"
 #include "supply/storage_cap.hpp"
 
@@ -384,6 +385,201 @@ TEST(EnergyMeter, EnergyScalesWithVddSquared) {
     return f.meter.dynamic_energy();
   };
   EXPECT_NEAR(run_at(1.0) / run_at(0.5), 4.0, 0.01);
+}
+
+// ---- drive-cache audit ----------------------------------------------------
+//
+// After every DriveArena::refresh the slot's cached state must equal a
+// fresh DelayModel evaluation at the supply's present voltage, bit for
+// bit: the operational flag always, charge and energy whenever the
+// element is operational, and the delay too after a schedule-time
+// (Need::kWithDelay) refresh — the only refresh whose delay is read.
+
+class DriveAudit {
+ public:
+  DriveAudit(const device::DelayModel& model, const supply::Supply& supply)
+      : model_(model), supply_(supply) {
+    const double c_inv = model.tech().c_inv;
+    delay_cload_ = 2.0 * c_inv;
+    switch_cload_ = 6.0 * c_inv;
+    slot_ = arena_.acquire(delay_cload_, switch_cload_, vth_, strength_);
+  }
+
+  bool refresh(DriveArena::Need need) {
+    const bool op = arena_.refresh(slot_, supply_, model_, need);
+    const double v = supply_.voltage();
+    EXPECT_EQ(op, model_.operational(v)) << "at " << v << " V";
+    EXPECT_EQ(arena_.operational(slot_), op);
+    if (op) {
+      EXPECT_EQ(arena_.charge(slot_), model_.switching_charge(v, switch_cload_));
+      EXPECT_EQ(arena_.energy(slot_), model_.switching_energy(v, switch_cload_));
+      if (need == DriveArena::Need::kWithDelay) {
+        EXPECT_EQ(arena_.delay(slot_),
+                  model_.delay(v, delay_cload_, vth_, strength_))
+            << "at " << v << " V, vth " << vth_ << ", strength " << strength_;
+      }
+    }
+    ++checks_;
+    return op;
+  }
+  bool apply() { return refresh(DriveArena::Need::kDraw); }
+  bool schedule() { return refresh(DriveArena::Need::kWithDelay); }
+
+  void set_device(double vth, double strength) {
+    vth_ = vth;
+    strength_ = strength;
+    arena_.set_device(slot_, vth, strength);
+  }
+  void invalidate() { arena_.invalidate(slot_); }
+
+  const DriveArena& arena() const { return arena_; }
+  double charge() const { return arena_.charge(slot_); }
+  double energy() const { return arena_.energy(slot_); }
+  int checks() const { return checks_; }
+
+ private:
+  const device::DelayModel& model_;
+  const supply::Supply& supply_;
+  DriveArena arena_;
+  DriveArena::Slot slot_ = 0;
+  double delay_cload_ = 0.0;
+  double switch_cload_ = 0.0;
+  double vth_ = 0.02;
+  double strength_ = 1.1;
+  int checks_ = 0;
+};
+
+TEST(DriveCache, BatteryApplyThenScheduleAtOneEpoch) {
+  sim::Kernel kernel;
+  device::DelayModel model(device::Tech::umc90());
+  supply::Battery bat(kernel, "vdd", 0.35);
+  DriveAudit a(model, bat);
+  // Apply-time refresh first: the delay lane is left behind, and the
+  // schedule-time refresh at the same epoch must still produce the
+  // delay at this epoch's voltage.
+  EXPECT_TRUE(a.apply());
+  EXPECT_TRUE(a.schedule());
+  EXPECT_TRUE(a.schedule());
+  bat.set_voltage(0.6);
+  EXPECT_TRUE(a.apply());
+  EXPECT_TRUE(a.apply());
+  EXPECT_TRUE(a.schedule());
+  bat.set_voltage(0.25);
+  EXPECT_TRUE(a.schedule());
+  EXPECT_TRUE(a.apply());
+}
+
+TEST(DriveCache, DeviceChangeAtAnUnchangedEpochRecomputesTheDelay) {
+  sim::Kernel kernel;
+  device::DelayModel model(device::Tech::umc90());
+  supply::Battery bat(kernel, "vdd", 0.3);
+  DriveAudit a(model, bat);
+  EXPECT_TRUE(a.schedule());
+  // The device point changes while the supply epoch stands still; an
+  // apply-time refresh in between must not leave the old device's
+  // delay looking current.
+  a.set_device(0.05, 0.8);
+  EXPECT_TRUE(a.apply());
+  EXPECT_TRUE(a.schedule());
+  a.set_device(-0.03, 1.4);
+  EXPECT_TRUE(a.schedule());
+  a.invalidate();
+  EXPECT_TRUE(a.apply());
+  EXPECT_TRUE(a.schedule());
+  a.invalidate();
+  EXPECT_TRUE(a.schedule());
+  EXPECT_TRUE(a.apply());
+}
+
+TEST(DriveCache, BatteryStallAndRecovery) {
+  sim::Kernel kernel;
+  device::DelayModel model(device::Tech::umc90());
+  supply::Battery bat(kernel, "vdd", 0.3);
+  DriveAudit a(model, bat);
+  EXPECT_TRUE(a.schedule());
+  bat.set_voltage(0.1);  // below vmin_operate
+  EXPECT_FALSE(a.apply());
+  EXPECT_FALSE(a.schedule());
+  EXPECT_EQ(a.arena().stall_entries(), 1u);
+  EXPECT_EQ(a.arena().stalled_live(), 1u);
+  // Recovery seen first by an apply-time refresh, then a schedule.
+  bat.set_voltage(0.4);
+  EXPECT_TRUE(a.apply());
+  EXPECT_TRUE(a.schedule());
+  EXPECT_EQ(a.arena().recoveries(), 1u);
+  EXPECT_EQ(a.arena().stalled_live(), 0u);
+  // And the other way round, with a device change while stalled.
+  bat.set_voltage(0.0);
+  EXPECT_FALSE(a.schedule());
+  a.set_device(0.01, 0.9);
+  EXPECT_FALSE(a.apply());
+  bat.set_voltage(0.2);
+  EXPECT_TRUE(a.schedule());
+  EXPECT_TRUE(a.apply());
+  EXPECT_EQ(a.arena().stall_entries(), 2u);
+  EXPECT_EQ(a.arena().recoveries(), 2u);
+}
+
+TEST(DriveCache, AcRailEveryTimestampIsANewEpoch) {
+  // The Fig. 4 source dips below vmin in its troughs; its epoch moves
+  // with simulated time, so refreshes at one timestamp share an epoch
+  // and refreshes at the next do not.
+  sim::Kernel kernel;
+  device::DelayModel model(device::Tech::umc90());
+  supply::AcSupply ac(kernel, "ac", 0.2, 0.1, 1e6);
+  DriveAudit a(model, ac);
+  std::uint64_t step = 0;
+  for (sim::Time t = 0; t < sim::us(3); t += sim::ns(37)) {
+    kernel.run_until(t);
+    switch (step++ % 4) {
+      case 0:  // apply, then schedule at the same timestamp
+        a.apply();
+        a.schedule();
+        break;
+      case 1:  // schedule only
+        a.schedule();
+        break;
+      case 2:  // apply only: the delay lane falls behind
+        a.apply();
+        break;
+      default:  // device change between two refreshes at one timestamp
+        a.schedule();
+        a.set_device(step % 8 == 3 ? 0.04 : 0.0, step % 8 == 3 ? 0.9 : 1.2);
+        a.apply();
+        a.schedule();
+        break;
+    }
+  }
+  EXPECT_GT(a.arena().stall_entries(), 0u);
+  EXPECT_GT(a.arena().recoveries(), 0u);
+  EXPECT_GT(a.checks(), 100);
+}
+
+TEST(DriveCache, StorageCapEveryDrawIsANewEpoch) {
+  // A capacitor rail: each transition's draw moves the voltage, so the
+  // apply-time refresh after a draw always misses. Drain it into a
+  // stall, then recharge it past the floor.
+  sim::Kernel kernel;
+  device::DelayModel model(device::Tech::umc90());
+  supply::StorageCap cap(kernel, "cap", 2e-13, 0.35);
+  DriveAudit a(model, cap);
+  int transitions = 0;
+  while (a.schedule()) {
+    if (!a.apply()) break;
+    cap.draw(a.charge(), a.energy());
+    ++transitions;
+    ASSERT_LT(transitions, 10'000);
+  }
+  EXPECT_GT(transitions, 10);
+  EXPECT_EQ(a.arena().stall_entries(), 1u);
+  EXPECT_FALSE(a.apply());
+  cap.deposit_charge(2e-13 * 0.3);
+  EXPECT_TRUE(a.apply());
+  EXPECT_TRUE(a.schedule());
+  cap.draw(a.charge(), a.energy());
+  EXPECT_TRUE(a.schedule());
+  EXPECT_TRUE(a.apply());
+  EXPECT_EQ(a.arena().recoveries(), 1u);
 }
 
 }  // namespace

@@ -29,6 +29,63 @@ TEST(Time, Conversions) {
   EXPECT_EQ(from_seconds(1e30), kTimeMax);
 }
 
+/// A duration in seconds whose tick product `seconds * 1e15` is exactly
+/// `ticks` (nudged by ulps until it round-trips), so a test can pin the
+/// rounding of a chosen tick value.
+double seconds_for_ticks(double ticks) {
+  double s = ticks / 1e15;
+  for (int i = 0; i < 64 && s * 1e15 != ticks; ++i) {
+    s = std::nextafter(s, s * 1e15 < ticks ? HUGE_VAL : 0.0);
+  }
+  EXPECT_EQ(s * 1e15, ticks) << "no seconds value maps to " << ticks;
+  return s;
+}
+
+TEST(Time, FromSecondsRoundsHalfAwayFromZero) {
+  // The largest double below 0.5 must round down (a naive
+  // floor(x + 0.5) rounds it up); exact halves round away from zero.
+  EXPECT_EQ(from_seconds(seconds_for_ticks(0.49999999999999994)), 0u);
+  EXPECT_EQ(from_seconds(seconds_for_ticks(0.5)), 1u);
+  EXPECT_EQ(from_seconds(seconds_for_ticks(1.5)), 2u);
+  EXPECT_EQ(from_seconds(seconds_for_ticks(2.5)), 3u);
+  EXPECT_EQ(from_seconds(seconds_for_ticks(2.4999999999999996)), 2u);
+}
+
+TEST(Time, FromSecondsCoversTheFullTickRange) {
+  // Between 2^63 and 2^64 ticks (~9223 s to ~18447 s) std::llround
+  // overflows long long; from_seconds must still return the exact tick.
+  EXPECT_EQ(from_seconds(9300.0), 9'300'000'000'000'000'000u);
+  EXPECT_EQ(from_seconds(18446.0), 18'446'000'000'000'000'000u);
+  // At and beyond 2^64 ticks the result saturates.
+  EXPECT_EQ(from_seconds(18447.0), kTimeMax);
+  EXPECT_EQ(from_seconds(0x1.0p64 / 1e15 * 1.0000001), kTimeMax);
+  EXPECT_EQ(from_seconds(HUGE_VAL), kTimeMax);
+  // NaN and non-positive durations are zero.
+  EXPECT_EQ(from_seconds(std::nan("")), 0u);
+  EXPECT_EQ(from_seconds(-0.0), 0u);
+}
+
+TEST(Time, FromSecondsMatchesLlroundBelow2To63) {
+  // Seeded sweep: log-uniform tick counts from 1e-3 to ~2^63, plus
+  // values within a few ulps of a half, all agree with std::llround.
+  Rng rng(20261017);
+  for (int i = 0; i < 1'000'000; ++i) {
+    double ticks = std::pow(10.0, rng.uniform(-3.0, 18.95));
+    if (i % 4 == 0) {
+      ticks = std::floor(ticks) + 0.5;
+      for (int k = static_cast<int>(rng.index(5)); k > 0; --k) {
+        ticks = std::nextafter(ticks, rng.chance(0.5) ? 0.0 : HUGE_VAL);
+      }
+    }
+    const double seconds = ticks / 1e15;
+    const double product = seconds * 1e15;
+    ASSERT_LT(product, 0x1.0p63);
+    ASSERT_EQ(from_seconds(seconds),
+              static_cast<Time>(std::llround(product)))
+        << "seconds " << seconds;
+  }
+}
+
 TEST(Time, Format) {
   EXPECT_EQ(format_time(ps(1500)), "1.500 ns");
   EXPECT_EQ(format_time(0), "0 fs");
