@@ -119,9 +119,8 @@ static int run_fig1(const emc::repro::RunContext& ctx) {
 
   std::uint64_t st_small = 0;
   std::uint64_t ck_small = 0;
-  const auto& scenarios = wb.scenario_params();
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    if (std::fabs(scenarios[i].get<double>("energy_nJ") - 0.5) < 1e-12) {
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (std::fabs(wb.scenario(i).get<double>("energy_nJ") - 0.5) < 1e-12) {
       st_small = ops[i].first;
       ck_small = ops[i].second;
     }

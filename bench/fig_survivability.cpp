@@ -38,6 +38,7 @@
 #include "analysis/sweep.hpp"
 #include "async/counter.hpp"
 #include "async/handshake.hpp"
+#include "exp/context_config.hpp"
 #include "exp/workbench.hpp"
 #include "fault/fault_plan.hpp"
 #include "lint/session.hpp"

@@ -12,13 +12,6 @@
 //   * queue_{uniform,monotone,cancel}_heap
 //                        — hold-model shape benches pinning the event
 //                          queue's envelope (see below)
-//   * sweep_dispatch_raw — per-scenario dispatch cost of the raw
-//                          SweepRunner (trivial bodies, 1 thread)
-//   * workbench_overhead — the same trivial sweep through the full
-//                          exp::Workbench façade (grid + ParamSet +
-//                          named columns); rate parity with
-//                          sweep_dispatch_raw is the proof the façade
-//                          adds no measurable per-scenario cost
 //
 // No google-benchmark dependency: a minimal best-of-N timer harness is
 // all these throughput numbers need, and it keeps the bench buildable in
@@ -51,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/sweep_runner.hpp"
 #include "async/counter.hpp"
 #include "device/delay_model.hpp"
 #include "exp/context_config.hpp"
@@ -193,93 +185,6 @@ BenchResult bench_sweep_throughput(bool smoke) {
       });
 }
 
-// The façade-overhead pair: the same minimal scenario — a kernel firing
-// a burst of trivial events, the smallest body any real sweep runs —
-// dispatched through the raw SweepRunner and through the full Workbench
-// façade. Both sides use the kernel-reuse path (worker-local state,
-// reset/rebind per scenario instead of fresh elaboration), so the
-// numbers measure steady-state per-scenario dispatch cost: the raw side
-// is SweepRunner::run_workers + Kernel::reset(), the façade side is
-// Workbench::run_reusing + Experiment::rebind() (grid, typed ParamSet
-// access, named-column rows, supply re-elaboration). Single-threaded so
-// the per-scenario cost is not hidden by the pool.
-constexpr std::uint64_t kDispatchBodyEvents = 64;
-
-std::uint64_t dispatch_body_events(sim::Kernel& kernel) {
-  kernel.reset();
-  std::uint64_t fired = 0;
-  for (std::uint64_t i = 0; i < kDispatchBodyEvents; ++i) {
-    kernel.schedule(static_cast<sim::Time>(i % 7 + 1), [&fired] { ++fired; });
-  }
-  kernel.run();
-  return fired;
-}
-
-BenchResult bench_sweep_dispatch_raw(bool smoke, std::size_t n) {
-  std::vector<double> values(n);
-  for (std::size_t i = 0; i < n; ++i) values[i] = 0.15 + 1e-6 * double(i);
-  // Scenario labels are sweep *input*, not dispatch work — built once
-  // outside the timed region (the Workbench side keeps its grid
-  // materialization inside, because that IS part of the façade's cost).
-  const auto scenarios = analysis::scenarios_over("x", values);
-  // Worker-local scratch kernels: elaborated once, reset per scenario —
-  // the reuse pattern run_workers exists for.
-  std::vector<std::unique_ptr<sim::Kernel>> kernels;
-  return run_bench(
-      "sweep_dispatch_raw", "scenarios/s", smoke ? 3 : 5,
-      [&scenarios, &kernels, n] {
-        analysis::SweepRunner::Options opt;
-        opt.threads = 1;
-        opt.chunk = 64;  // tiny uniform scenarios: claim them coarsely
-        analysis::SweepRunner runner({"x", "fired"}, opt);
-        kernels.resize(runner.threads_for(scenarios.size()));
-        auto report = runner.run_workers(
-            scenarios,
-            [&kernels](const analysis::Scenario& s, std::size_t, unsigned w) {
-              if (!kernels[w]) kernels[w] = std::make_unique<sim::Kernel>();
-              analysis::ScenarioOutput out;
-              out.rows.emplace_back();
-              auto& row = out.rows.back();
-              row.reserve(2);
-              row.push_back(s.label);
-              row.push_back(std::to_string(dispatch_body_events(*kernels[w])));
-              return out;
-            });
-        // Sink the materialized table's size, not its CSV serialization —
-        // stringifying 20k rows is I/O-path work, not dispatch cost, and
-        // it would dilute both sides of the facade/raw ratio equally.
-        g_sink = double(report.table.row_count());
-        return static_cast<std::uint64_t>(n);
-      });
-}
-
-BenchResult bench_workbench_overhead(bool smoke, std::size_t n) {
-  std::vector<double> values(n);
-  for (std::size_t i = 0; i < n; ++i) values[i] = 0.15 + 1e-6 * double(i);
-  return run_bench(
-      "workbench_overhead", "scenarios/s", smoke ? 3 : 5, [&values, n] {
-        exp::Workbench wb("workbench_overhead");
-        wb.threads(1);
-        wb.grid().over("x", values);
-        wb.columns({"x", "fired"});
-        const auto& report = wb.run_reusing(
-            [](const exp::ParamSet&) {
-              return exp::ContextConfig::battery(1.0).meter(false);
-            },
-            [](exp::Experiment& ex, const exp::ParamSet&,
-               exp::Recorder& rec) {
-              rec.row()
-                  .set("x", rec.label())
-                  .set("fired", dispatch_body_events(ex.kernel()));
-            });
-        // Sink the materialized table's size, not its CSV serialization —
-        // stringifying 20k rows is I/O-path work, not dispatch cost, and
-        // it would dilute both sides of the facade/raw ratio equally.
-        g_sink = double(report.table.row_count());
-        return static_cast<std::uint64_t>(n);
-      });
-}
-
 // --- queue-shape microbenches -------------------------------------------
 //
 // The classic "hold" model isolates the priority structure: keep the
@@ -331,7 +236,6 @@ std::uint64_t queue_hold_ops(QueueShape shape, std::size_t depth,
       q.cancel(q.schedule(now + 500'000'000, [] {}));
     }
   }
-  q.clear();
   return fired;
 }
 
@@ -402,9 +306,6 @@ std::vector<BenchResult> run_suite(bool smoke) {
       bench_queue_shape("queue_monotone_heap", QueueShape::kMonotone, smoke));
   results.push_back(
       bench_queue_shape("queue_cancel_heap", QueueShape::kCancel, smoke));
-  const std::size_t dispatch_n = smoke ? 2'000 : 20'000;
-  results.push_back(bench_sweep_dispatch_raw(smoke, dispatch_n));
-  results.push_back(bench_workbench_overhead(smoke, dispatch_n));
   return results;
 }
 
@@ -470,16 +371,6 @@ int main(int argc, char** argv) {
                   r.unit.c_str());
     }
   }
-  {
-    const double raw = results[results.size() - 2].rate;
-    const double facade = results.back().rate;
-    if (raw > 0.0 && facade > 0.0) {
-      std::printf("  %-21s facade/raw dispatch rate: %.2fx "
-                  "(1.0 = free facade)\n",
-                  "", facade / raw);
-    }
-  }
-
   bool baseline_merged = false;
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);

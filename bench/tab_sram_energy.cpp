@@ -62,10 +62,8 @@ static int run_tab_sram_energy(const emc::repro::RunContext& ctx) {
   wb.table().print();
 
   analysis::CsvWriter csv({"vdd_V", "write_pJ", "read_pJ"});
-  const auto& scenarios = wb.scenario_params();
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    csv.add_row({scenarios[i].get<double>("vdd"), points[i].write_pj,
-                 points[i].read_pj});
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    csv.add_row({grid[i], points[i].write_pj, points[i].read_pj});
   }
   csv.write("tab_sram_energy.csv");
 

@@ -73,9 +73,8 @@ int main() {
     rec.add_stats(kernel.stats());
   });
 
-  const auto& scenarios = wb.scenario_params();
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const double tokens_per_ms = scenarios[i].get<double>("tokens_per_ms");
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const double tokens_per_ms = wb.scenario(i).get<double>("tokens_per_ms");
     const DietResult& r = results[i];
     std::printf("energy diet %5.0f tokens/ms over 50 ms:\n", tokens_per_ms);
     std::printf("  sensed %4llu   processed %4llu   transmitted %4llu   "

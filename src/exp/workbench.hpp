@@ -9,15 +9,17 @@
 //   * a typed column schema — bodies fill named columns through a
 //     Recorder (`rec.row().set("vdd_V", v)`), and an unknown column name
 //     throws instead of silently shifting cells;
-//   * execution + artifacts — scenarios run through the existing
-//     analysis::SweepRunner unchanged (same pool, same determinism
-//     contract: tables are byte-identical at any EMC_SWEEP_THREADS), and
-//     the resulting table prints / writes the CSV artifact.
+//   * execution + artifacts — scenarios are enumerated lazily and run
+//     through analysis::SweepRunner::for_indexed_streaming, the one sweep
+//     path (tables are byte-identical at any EMC_SWEEP_THREADS); rows
+//     stream to a sink in scenario order, and run() is that path with a
+//     sink that fills the report's table for printing / the CSV
+//     artifact.
 //
 // The body receives (const ParamSet&, Recorder&): typed named parameters
-// in, named rows + kernel stats out. Recorder::index() identifies the
-// scenario slot for bodies that deposit typed side results (one writer
-// per slot, joined before any read — same rule as SweepRunner).
+// in, named rows + kernel stats out. Recorder::index() is the global
+// scenario index — the slot for bodies that deposit typed side results
+// (one writer per slot, joined before any read).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +30,6 @@
 #include <vector>
 
 #include "analysis/sweep_runner.hpp"
-#include "exp/context_config.hpp"
 #include "exp/param_set.hpp"
 
 namespace emc::exp {
@@ -127,8 +128,8 @@ class Recorder {
   /// Fold a kernel's execution stats into the sweep totals.
   void add_stats(const sim::Kernel::Stats& s) { output_.stats += s; }
 
-  /// Index of this scenario in the grid — the slot typed side results
-  /// belong to.
+  /// Global index of this scenario (its index in the unsharded run) —
+  /// the slot typed side results belong to.
   std::size_t index() const { return index_; }
 
   /// The scenario's reporting label (already materialized by the
@@ -165,7 +166,7 @@ class Workbench {
   /// Monte-Carlo replication: run every grid point `n_trials` times.
   /// Each replica is a plain scenario — the grid point's parameters plus
   /// a "trial" index and a "trial_seed" derived as
-  /// sim::derive_seed(base_seed, trial) — so the unchanged SweepRunner
+  /// sim::derive_seed(base_seed, trial) — so the sweep engine
   /// parallelizes replicas exactly like scenarios and the byte-identical
   /// CSV contract holds at any thread count. The trial axis is fastest
   /// (replicas of a point are adjacent rows, ready for
@@ -198,38 +199,14 @@ class Workbench {
   /// The column schema (what sink rows are ordered by).
   const std::vector<std::string>& schema() const { return columns_; }
 
-  /// Worker-thread override (0 = EMC_SWEEP_THREADS / hardware, the
-  /// SweepRunner default).
+  /// Worker-thread override (0 = EMC_SWEEP_THREADS / hardware).
   Workbench& threads(unsigned n);
-  /// Scenarios claimed per atomic grab (see SweepRunner::Options).
-  Workbench& chunk(std::size_t n);
 
   using Body = std::function<void(const ParamSet&, Recorder&)>;
 
-  /// Run the body once per scenario through the SweepRunner pool; rows
-  /// land in scenario order. The report stays readable via report().
+  /// run_streaming() with a sink that appends every row to the report's
+  /// table, in scenario order. The report stays readable via report().
   const analysis::SweepReport& run(const Body& body);
-
-  /// Body for the experiment-reusing run: receives the worker's live
-  /// Experiment stack (already reset and rebound to this scenario's
-  /// config) alongside the usual parameters and recorder.
-  using ReuseBody =
-      std::function<void(Experiment&, const ParamSet&, Recorder&)>;
-  /// Maps a scenario's parameters to the context it needs. Called from
-  /// worker threads — must be pure (no shared mutable state).
-  using ConfigOf = std::function<ContextConfig(const ParamSet&)>;
-
-  /// run() without the per-scenario elaboration cost: each worker
-  /// thread elaborates one Experiment (config_of of its first scenario)
-  /// and *rebinds* it — Kernel::reset() + in-place supply/meter
-  /// re-elaboration, keeping the warm event slab and drive arena — for
-  /// every subsequent scenario. Bodies must build their circuit from
-  /// ex.ctx() and let it be destroyed before returning (scoped locals
-  /// do this naturally); given that, a rebound stack is behaviourally
-  /// identical to a fresh build, so tables stay byte-identical to run()
-  /// at any thread count (tests/reuse_test.cpp holds both contracts).
-  const analysis::SweepReport& run_reusing(const ConfigOf& config_of,
-                                           const ReuseBody& body);
 
   /// Row sink for run_streaming: receives each produced row (cells in
   /// schema order) tagged with its *global* scenario index — the index
@@ -238,25 +215,27 @@ class Workbench {
   using RowSink =
       std::function<void(std::size_t, const std::vector<std::string>&)>;
 
-  /// run() without materializing anything: scenarios are enumerated
-  /// lazily (no params_ expansion — one ParamSet exists per in-flight
-  /// scenario), bodies run on the worker pool, and every produced row is
-  /// handed to `sink` on the calling thread in scenario order, then
-  /// dropped. Memory is O(threads + sink state) instead of O(rows): the
-  /// path that makes 10^6-trial replicated runs possible. The returned
-  /// report carries scenario count, threads, wall time and kernel stats;
-  /// its table has headers but NO rows — table()/scenario_params() are
-  /// deprecated for streaming runs (they reflect materialized runs
-  /// only) and replicated benches should migrate to this entry point
-  /// with an analysis::Aggregate::Sink / analysis::CsvStream sink.
+  /// The one execution path: scenarios are enumerated lazily (one
+  /// ParamSet exists per in-flight scenario), bodies run on the worker
+  /// pool, and every produced row is handed to `sink` on the calling
+  /// thread in scenario order, then dropped. Memory is O(threads + sink
+  /// state) instead of O(rows): the path that makes 10^6-trial
+  /// replicated runs possible. The returned report carries scenario
+  /// count, threads, wall time and kernel stats; its table has headers
+  /// but no rows (run() fills it).
   ///
   /// Honors shard(): only this shard's trials run; global indices still
   /// refer to the unsharded index space.
   const analysis::SweepReport& run_streaming(const RowSink& sink,
                                              const Body& body);
 
+  /// Parameters of the scenario at global index `index` in the last run
+  /// (the grid point plus, when replicated, its "trial"/"trial_seed") —
+  /// what the body received as its ParamSet. Throws std::out_of_range
+  /// past the last grid point.
+  ParamSet scenario(std::size_t index) const;
+
   const std::string& name() const { return name_; }
-  const std::vector<ParamSet>& scenario_params() const { return params_; }
   const analysis::SweepReport& report() const { return report_; }
   const analysis::Table& table() const { return report_.table; }
 
@@ -266,13 +245,9 @@ class Workbench {
   bool write_csv(const std::string& path);
 
  private:
-  /// Expand the grid (and trial axis) into params_ and derive the
-  /// labeled scenario list — the shared front half of run/run_reusing.
-  std::vector<analysis::Scenario> materialize_scenarios();
-
   std::string name_;
   Grid grid_;
-  std::vector<ParamSet> params_;          // as run (trial axis expanded)
+  std::vector<ParamSet> points_;  // grid points of the last run (no trials)
   std::vector<ParamSet> explicit_params_;  // scenarios() input, pre-expansion
   bool explicit_scenarios_ = false;
   std::vector<std::string> columns_;
@@ -281,7 +256,7 @@ class Workbench {
   bool replicated_ = false;  // replicate() called: every row gets a trial seed
   std::size_t shard_index_ = 0;
   std::size_t shard_count_ = 1;
-  analysis::SweepRunner::Options opt_;
+  unsigned threads_ = 0;
   analysis::SweepReport report_;
 };
 

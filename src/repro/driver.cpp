@@ -839,11 +839,17 @@ int driver_run(const std::vector<std::string>& args) {
   }
 
   // Independent figures (disjoint artifact names) run through the same
-  // pool the sweeps use; --jobs 1 degenerates to a serial loop.
+  // engine the sweeps use; --jobs 1 degenerates to a serial loop.
+  // Each figure's result lands in its own slot (one writer per index;
+  // the engine joins its workers before returning).
   std::vector<FigureResult> results(selected.size());
-  analysis::SweepRunner::for_indexed(
+  analysis::SweepRunner::for_indexed_streaming(
       selected.size(), opt.jobs,
-      [&](std::size_t i) { results[i] = run_figure(*selected[i], opt); });
+      [&](std::size_t i) {
+        results[i] = run_figure(*selected[i], opt);
+        return analysis::ScenarioOutput{};
+      },
+      [](std::size_t, analysis::ScenarioOutput&&) {});
 
   std::printf("\n=== emc_repro: %zu figure(s)%s%s%s ===\n", selected.size(),
               opt.check ? ", --check" : "",

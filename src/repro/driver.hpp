@@ -23,7 +23,7 @@
 //                            figure status, wall time, kernel stats, and
 //                            every artifact with size + sha256.
 //   --jobs N                 run independent figures concurrently on the
-//                            existing SweepRunner pool (artifacts have
+//                            sweep engine's worker pool (artifacts have
 //                            disjoint names; bodies print interleaved).
 //   --smoke                  run bodies in smoke mode (shrunk MC trial
 //                            counts); incompatible with --check, whose

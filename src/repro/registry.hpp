@@ -53,7 +53,7 @@ class RunContext {
   /// match the refs, so the driver refuses --check in smoke mode).
   Mode mode = Mode::kFull;
 
-  /// Sweep-thread override threaded into Workbench/SweepRunner by the
+  /// Sweep-thread override threaded into Workbench::threads() by the
   /// body (0 = EMC_SWEEP_THREADS / hardware default). This is how
   /// --threads-cross-check re-runs a figure at several thread counts
   /// without racing on the process environment.

@@ -40,7 +40,7 @@ namespace emc::sim {
 
 /// Handle identifying a scheduled event; usable for cancellation.
 /// Packed {generation:32, slot:32}. A slot's generation advances every
-/// time the slot is released (fire, cancel or clear), so a stale handle
+/// time the slot is released (fire or cancel), so a stale handle
 /// can never touch the event that reused its slot. 0 is never a valid id.
 using EventId = std::uint64_t;
 
@@ -56,8 +56,8 @@ class EventQueue {
 
   /// Cancel a pending event in O(1): the slot is released immediately and
   /// the stale entry left to be purged when it surfaces (or by compaction
-  /// if stale entries come to dominate). Cancelling an already-fired,
-  /// cleared or unknown id is a harmless no-op.
+  /// if stale entries come to dominate). Cancelling an already-fired
+  /// or unknown id is a harmless no-op.
   void cancel(EventId id);
 
   /// True if no live (non-cancelled) event remains.
@@ -79,21 +79,8 @@ class EventQueue {
   /// loop.
   bool pop_due(Time deadline, Time& t, Action& action);
 
-  /// Drop everything (used when resetting a kernel between experiments).
-  /// Outstanding EventIds are invalidated: cancelling them later is a
-  /// no-op even after their slots are reused.
-  void clear();
-
   /// Total events ever scheduled (statistics for the micro-bench).
   std::uint64_t total_scheduled() const { return scheduled_; }
-
-  /// Zero the statistics counters (scheduled total, peak) without
-  /// touching pending events or the slab. Kernel::reset() calls this so
-  /// stats() really means "since last reset".
-  void reset_stats() {
-    scheduled_ = 0;
-    peak_live_ = live_;
-  }
 
   // --- introspection (stats reporting and tests) ---
 
@@ -122,7 +109,7 @@ class EventQueue {
 
   // POD entry: cheap to move during sift/sort. `gen` snapshots the slot
   // generation at schedule time; a mismatch on pop means the event was
-  // cancelled (or the queue cleared) and the entry is discarded.
+  // cancelled and the entry is discarded.
   struct Entry {
     Time t;
     std::uint64_t seq;  // tie-breaker: FIFO among equal timestamps

@@ -185,26 +185,6 @@ TEST(EventQueueLifecycle, DrainThenRescheduleReusesTheStructure) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueueLifecycle, ClearInvalidatesOutstandingIds) {
-  EventQueue q;
-  int fired = 0;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 64; ++i)
-    ids.push_back(q.schedule(1 + i, [&fired] { ++fired; }));
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.heap_entries(), 0u);
-  // Stale ids from before the clear stay dead even after slot reuse.
-  q.schedule(7, [&fired] { fired += 1000; });
-  for (const EventId id : ids) q.cancel(id);
-  EXPECT_EQ(q.size(), 1u);
-  auto [t, action] = q.pop();
-  action();
-  EXPECT_EQ(t, 7u);
-  EXPECT_EQ(fired, 1000);
-}
-
 // The load-bearing test: a randomized schedule/pop/cancel workload run
 // in lock-step against a reference model — a plain list of live
 // (t, seq, tag) entries whose minimum is found by scanning. The

@@ -192,8 +192,9 @@ TEST(Replicate, TrialAxisIsFastestAndSeedsShareTrials) {
     rec.row().set("vdd_V", p.get<double>("vdd")).set("trial",
                                                      p.get<int>("trial"));
   });
-  const auto& params = wb.scenario_params();
-  ASSERT_EQ(params.size(), 6u);
+  ASSERT_EQ(wb.report().scenarios, 6u);
+  std::vector<exp::ParamSet> params;
+  for (std::size_t i = 0; i < 6; ++i) params.push_back(wb.scenario(i));
   // Replicas of a grid point are adjacent (trial fastest)...
   EXPECT_EQ(params[0].get<int>("trial"), 0);
   EXPECT_EQ(params[1].get<int>("trial"), 1);
