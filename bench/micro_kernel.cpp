@@ -164,6 +164,10 @@ BenchResult bench_sweep_throughput(bool smoke) {
   return run_bench(
       "sweep_throughput", "events/s", smoke ? 2 : 3, [&grid, horizon] {
         exp::Workbench wb("sweep_throughput");
+        // One thread: a 6-point smoke sweep is too short to amortize a
+        // worker pool's start-up, so a pool would turn the rate into a
+        // measure of thread creation and of the host's core count.
+        wb.threads(1);
         wb.grid().over("vdd", grid);
         wb.columns({"vdd_V", "transitions"});
         const auto& report =

@@ -58,9 +58,6 @@ class EnergyMeter {
   std::map<std::string, std::uint64_t> transitions_by_prefix(
       std::size_t depth) const;
 
-  /// Zero all counters (keep registrations); used between sweep points.
-  void reset();
-
  private:
   struct Entry {
     std::string name;

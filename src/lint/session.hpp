@@ -10,8 +10,7 @@
 //     s.check(ring.circuit());
 //   }
 //
-// The driver (emc_lint, emc_repro --lint) then renders text or JSON and
-// gates on clean().
+// `emc_repro lint` then renders text or JSON and gates on clean().
 #pragma once
 
 #include <memory>

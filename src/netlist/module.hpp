@@ -12,8 +12,8 @@
 // testbench ports, external/foreign nets), elements (with an
 // ElementKind, so an analyzer sees "C-element" instead of a name
 // string), name-pair edges, handshake channels, and rule suppressions.
-// netlist::to_dot renders the edges; emc::lint's static rule passes
-// (src/lint/) consume the whole inventory. comb() and emplace<> record
+// emc::lint's static rule passes (src/lint/) and the static timing
+// analyzer (src/sta/) consume the inventory. comb() and emplace<> record
 // elements automatically; edges for emplace<>'d gates must still be
 // note_edge()'d by the builder — the linter's W003 rule fails loudly on
 // any element with zero recorded edges, so a forgotten note_edge cannot

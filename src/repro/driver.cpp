@@ -11,12 +11,10 @@
 #include <vector>
 
 #include "analysis/sweep_runner.hpp"
-#include "lint/session.hpp"
-#include "repro/cache.hpp"
 #include "repro/partial.hpp"
 #include "repro/registry.hpp"
 #include "repro/sha256.hpp"
-#include "sta/session.hpp"
+#include "repro/static_checks.hpp"
 #include "tools/cli_common.hpp"
 
 // Default reference directory: the source tree's bench/refs, baked in at
@@ -35,22 +33,18 @@ struct CliOptions {
   bool list = false;
   bool check = false;
   bool smoke = false;
-  bool lint = false;
-  bool sta = false;
   bool seed_set = false;
   std::uint64_t seed = 0;
   unsigned jobs = 1;
   std::vector<unsigned> cross_threads;  // empty = single run, default pool
   std::string manifest_path;
   std::string refs_dir = EMC_REPRO_REFS_DIR;
-  // Scale-out surface: shard assignment, partial output, result cache.
+  // Scale-out surface: shard assignment, partial output.
   bool shard_set = false;
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
   std::string partial_dir;
   std::uint64_t trials_override = 0;
-  std::string cache_dir;
-  bool no_cache = false;
 };
 
 struct ArtifactRecord {
@@ -62,8 +56,6 @@ struct ArtifactRecord {
 struct FigureResult {
   const Figure* fig = nullptr;
   bool run_failed = false;
-  bool lint_failed = false;
-  bool sta_failed = false;
   bool missing_artifact = false;
   bool missing_ref = false;   // vacuous: declared ref absent on disk
   bool ref_mismatch = false;
@@ -73,19 +65,12 @@ struct FigureResult {
   sim::Kernel::Stats stats;
   std::vector<ArtifactRecord> artifacts;
   std::string detail;  // human-readable failure explanation
-  // Cache disposition: "off" (no --cache), "hit" (artifacts restored
-  // without running), "stored" (ran and published), "miss" (ran;
-  // store skipped or failed).
-  std::string cache_state = "off";
-  std::string cache_key;
 
   bool failed() const {
-    return run_failed || lint_failed || sta_failed || missing_artifact ||
-           ref_mismatch || threads_mismatch;
+    return run_failed || missing_artifact || ref_mismatch ||
+           threads_mismatch;
   }
   const char* status() const {
-    if (lint_failed) return "lint_failed";
-    if (sta_failed) return "sta_failed";
     if (run_failed) return "run_failed";
     if (missing_artifact) return "missing_artifact";
     if (missing_ref) return "missing_ref";
@@ -178,8 +163,7 @@ std::string json_escape(const std::string& s) {
 
 /// Fill a RunContext from the options (everything but `threads`, which
 /// varies across cross-check re-runs).
-RunContext make_context(const Figure& fig, const CliOptions& opt,
-                        std::uint64_t seed) {
+RunContext make_context(const CliOptions& opt, std::uint64_t seed) {
   RunContext ctx;
   ctx.mode = opt.smoke ? Mode::kSmoke : Mode::kFull;
   ctx.seed = seed;
@@ -187,93 +171,17 @@ RunContext make_context(const Figure& fig, const CliOptions& opt,
   ctx.shard_count = opt.shard_count;
   ctx.partial_dir = opt.partial_dir;
   ctx.trials_override = opt.trials_override;
-  (void)fig;
   return ctx;
 }
 
-/// The cache key of this invocation of `fig` — every input the
-/// artifacts are a pure function of.
-CacheKey make_cache_key(const Figure& fig, const CliOptions& opt,
-                        std::uint64_t seed,
-                        const std::vector<std::string>& artifact_files) {
-  CacheKey key;
-  key.figure = fig.name;
-  key.seed = seed;
-  key.smoke = opt.smoke;
-  key.trials_override = opt.trials_override;
-  key.shard_index = opt.shard_index;
-  key.shard_count = opt.shard_count;
-  key.sharded = !opt.partial_dir.empty();
-  key.code_version = cache_code_version();
-  key.artifacts = artifact_files;
-  return key;
-}
-
-/// Run one figure end to end: execute (or restore from cache),
-/// inventory artifacts, check refs, cross-check thread counts.
+/// Run one figure end to end: execute, inventory artifacts, check refs,
+/// cross-check thread counts.
 FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
   FigureResult r;
   r.fig = &fig;
   r.seed = opt.seed_set ? opt.seed : fig.default_seed;
 
-  // Static lint gate: run the figure's netlist rules *before* spending
-  // any simulation time on it — a structurally broken circuit fails in
-  // milliseconds with a named rule instead of minutes later with a
-  // watchdog verdict.
-  if (opt.lint) {
-    if (fig.lint == nullptr) {
-      r.lint_failed = true;
-      r.detail += "    --lint: figure registers no lint model\n";
-      return r;
-    }
-    lint::Session session;
-    try {
-      fig.lint(session);
-    } catch (const std::exception& e) {
-      r.lint_failed = true;
-      r.detail += std::string("    lint hook threw: ") + e.what() + "\n";
-      return r;
-    }
-    if (!session.clean()) {
-      r.lint_failed = true;
-      std::stringstream ss(session.text());
-      std::string line;
-      while (std::getline(ss, line)) r.detail += "    " + line + "\n";
-      return r;
-    }
-  }
-
-  // Static timing gate: same hook, run through the sta pipeline. A
-  // bundled-data margin that dies somewhere in the operating range fails
-  // here with a named rule and a voltage, before any event is simulated.
-  if (opt.sta) {
-    if (fig.lint == nullptr) {
-      r.sta_failed = true;
-      r.detail += "    --sta: figure registers no timing model\n";
-      return r;
-    }
-    sta::Session session;
-    try {
-      fig.lint(session);
-    } catch (const std::exception& e) {
-      r.sta_failed = true;
-      r.detail += std::string("    sta hook threw: ") + e.what() + "\n";
-      return r;
-    }
-    if (!session.clean() || session.vacuous()) {
-      r.sta_failed = true;
-      for (const auto& s : session.vacuous_subjects()) {
-        r.detail += "    vacuous timing model: " + s +
-                    " records bundles but no arcs reach them\n";
-      }
-      std::stringstream ss(session.text());
-      std::string line;
-      while (std::getline(ss, line)) r.detail += "    " + line + "\n";
-      return r;
-    }
-  }
-
-  RunContext ctx = make_context(fig, opt, r.seed);
+  RunContext ctx = make_context(opt, r.seed);
   ctx.threads = opt.cross_threads.empty() ? 0 : opt.cross_threads.front();
 
   // A sharded run's only product is its partial file; the declared
@@ -282,54 +190,30 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
       ctx.sharded() ? std::vector<std::string>{ctx.partial_path(fig.name)}
                     : fig.artifacts;
 
-  // Result cache: a run with the same (code, figure, seed, mode,
-  // override, shard) inputs re-derives byte-identical artifacts, so a
-  // stored entry can stand in for the whole simulation. The hit/stored
-  // state lands in the manifest — CI asserts on it.
-  const bool use_cache = !opt.cache_dir.empty() && !opt.no_cache;
-  CacheKey key;
-  bool cache_hit = false;
-  if (use_cache) {
-    key = make_cache_key(fig, opt, r.seed, artifact_files);
-    r.cache_key = key.hash();
-    ResultCache cache(opt.cache_dir);
-    cache_hit = cache.restore(key);
-    r.cache_state = cache_hit ? "hit" : "miss";
+  // Graceful degradation: a figure body that throws must not take the
+  // rest of an --all run down with it. The exception becomes a
+  // run_failed status (aggregate exit stays nonzero) and the loop moves
+  // on to the next figure.
+  const auto t0 = std::chrono::steady_clock::now();
+  int rc = 0;
+  try {
+    rc = fig.run(ctx);
+  } catch (const std::exception& e) {
+    r.run_failed = true;
+    r.detail += std::string("    run() threw: ") + e.what() + "\n";
+  } catch (...) {
+    r.run_failed = true;
+    r.detail += "    run() threw a non-std exception\n";
   }
-
-  if (!cache_hit) {
-    // Graceful degradation: a figure body that throws must not take the
-    // rest of an --all run down with it. The exception becomes a
-    // run_failed status (aggregate exit stays nonzero) and the loop
-    // moves on to the next figure.
-    const auto t0 = std::chrono::steady_clock::now();
-    int rc = 0;
-    try {
-      rc = fig.run(ctx);
-    } catch (const std::exception& e) {
-      r.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      r.run_failed = true;
-      r.detail += std::string("    run() threw: ") + e.what() + "\n";
-      return r;
-    } catch (...) {
-      r.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      r.run_failed = true;
-      r.detail += "    run() threw a non-std exception\n";
-      return r;
-    }
-    r.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    r.stats = ctx.stats();
-    if (rc != 0) {
-      r.run_failed = true;
-      r.detail += "    run() returned " + std::to_string(rc) + "\n";
-      return r;
-    }
+  r.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  if (r.run_failed) return r;
+  r.stats = ctx.stats();
+  if (rc != 0) {
+    r.run_failed = true;
+    r.detail += "    run() returned " + std::to_string(rc) + "\n";
+    return r;
   }
 
   // Inventory every produced artifact (and keep the bytes of the first
@@ -349,11 +233,6 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
     r.artifacts.push_back(std::move(rec));
   }
   if (r.missing_artifact) return r;
-
-  if (use_cache && !cache_hit) {
-    ResultCache cache(opt.cache_dir);
-    if (cache.store(key, artifact_files)) r.cache_state = "stored";
-  }
 
   if (opt.check) {
     for (const std::string& file : fig.refs) {
@@ -379,10 +258,9 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
   }
 
   // Determinism cross-check: re-run at each further thread count and
-  // demand byte-identical artifacts. A cache hit skips it — the stored
-  // artifacts already passed it when they were produced.
-  for (std::size_t t = 1; !cache_hit && t < opt.cross_threads.size(); ++t) {
-    RunContext ctx2 = make_context(fig, opt, r.seed);
+  // demand byte-identical artifacts.
+  for (std::size_t t = 1; t < opt.cross_threads.size(); ++t) {
+    RunContext ctx2 = make_context(opt, r.seed);
     ctx2.threads = opt.cross_threads[t];
     int rc2 = 0;
     try {
@@ -458,8 +336,6 @@ bool write_manifest(const std::string& path, const CliOptions& opt,
     out << "      \"name\": \"" << json_escape(r.fig->name) << "\",\n";
     out << "      \"title\": \"" << json_escape(r.fig->title) << "\",\n";
     out << "      \"status\": \"" << r.status() << "\",\n";
-    out << "      \"cache\": \"" << r.cache_state << "\",\n";
-    out << "      \"cache_key\": \"" << json_escape(r.cache_key) << "\",\n";
     out << "      \"smoke_capable\": "
         << (r.fig->smoke_capable ? "true" : "false") << ",\n";
     char wall[32];
@@ -494,11 +370,11 @@ void print_usage() {
       "  emc_repro --all [flags]\n"
       "  emc_repro run <figure>... [flags]\n"
       "  emc_repro merge <partial>... [--refs DIR] [--check]\n"
-      "  emc_repro cache stats DIR | cache prune DIR --keep N\n"
+      "  emc_repro lint list | --rules | --all | <figure>...  (lint --help)\n"
+      "  emc_repro sta list | --rules | --all | <figure>...   (sta --help)\n"
       "flags: --check  --threads-cross-check A,B  --manifest OUT.json\n"
-      "       --jobs N  --smoke  --seed N  --refs DIR  --lint  --sta\n"
+      "       --jobs N  --smoke  --seed N  --refs DIR\n"
       "       --shard I/N --partial DIR  --trials N\n"
-      "       --cache DIR  --no-cache\n"
       "%s",
       cli::kExitCodeHelp);
 }
@@ -540,10 +416,6 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* opt) {
       opt->check = true;
     } else if (a == "--smoke") {
       opt->smoke = true;
-    } else if (a == "--lint") {
-      opt->lint = true;
-    } else if (a == "--sta") {
-      opt->sta = true;
     } else if (a == "--seed") {
       if (!next_value(&i, &v)) return false;
       char* end = nullptr;
@@ -614,11 +486,6 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* opt) {
                      v.c_str());
         return false;
       }
-    } else if (a == "--cache") {
-      if (!next_value(&i, &v)) return false;
-      opt->cache_dir = v;
-    } else if (a == "--no-cache") {
-      opt->no_cache = true;
     } else if (a == "--help" || a == "-h") {
       opt->list = false;
       opt->names.clear();
@@ -730,45 +597,14 @@ int merge_command(const std::vector<std::string>& args) {
   return cli::exit_code(any_mismatch, any_missing_ref);
 }
 
-/// `emc_repro cache stats DIR` / `emc_repro cache prune DIR --keep N`.
-int cache_command(const std::vector<std::string>& args) {
-  if (args.size() >= 2 && args[0] == "stats") {
-    ResultCache cache(args[1]);
-    const ResultCache::Stats s = cache.stats();
-    std::printf("  cache %s: %zu entr%s, %zu object(s), %llu byte(s)\n",
-                cache.dir().c_str(), s.entries, s.entries == 1 ? "y" : "ies",
-                s.objects, static_cast<unsigned long long>(s.object_bytes));
-    return 0;
-  }
-  if (args.size() >= 4 && args[0] == "prune" && args[2] == "--keep") {
-    char* end = nullptr;
-    const std::string& v = args[3];
-    const unsigned long long keep = std::strtoull(v.c_str(), &end, 10);
-    if (v.empty() || end != v.c_str() + v.size()) {
-      std::fprintf(stderr,
-                   "emc_repro: cache prune --keep wants an integer, got "
-                   "\"%s\"\n",
-                   v.c_str());
-      return 2;
-    }
-    ResultCache cache(args[1]);
-    const std::size_t removed = cache.prune(static_cast<std::size_t>(keep));
-    std::printf("  cache %s: pruned %zu entr%s\n", cache.dir().c_str(),
-                removed, removed == 1 ? "y" : "ies");
-    return 0;
-  }
-  print_usage();
-  return 2;
-}
-
 }  // namespace
 
 int driver_run(const std::vector<std::string>& args) {
-  if (!args.empty() && args.front() == "merge") {
-    return merge_command({args.begin() + 1, args.end()});
-  }
-  if (!args.empty() && args.front() == "cache") {
-    return cache_command({args.begin() + 1, args.end()});
+  if (!args.empty()) {
+    const std::vector<std::string> rest(args.begin() + 1, args.end());
+    if (args.front() == "merge") return merge_command(rest);
+    if (args.front() == "lint") return lint_command(rest);
+    if (args.front() == "sta") return sta_command(rest);
   }
 
   CliOptions opt;
@@ -859,9 +695,8 @@ int driver_run(const std::vector<std::string>& args) {
   bool any_vacuous = false;
   for (const FigureResult& r : results) {
     const bool ok = !r.failed() && !r.missing_ref;
-    std::printf("  [%s] %-28s %6.2f s  %s%s%s\n", ok ? "ok" : "!!",
+    std::printf("  [%s] %-28s %6.2f s  %s%s\n", ok ? "ok" : "!!",
                 r.fig->name.c_str(), r.wall_seconds, r.status(),
-                r.cache_state == "hit" ? "  (cache hit)" : "",
                 opt.smoke && !r.fig->smoke_capable
                     ? "  (ran full workload: figure is not smoke-capable)"
                     : "");
@@ -883,12 +718,6 @@ int driver_run(const std::vector<std::string>& args) {
 
 int driver_main(int argc, char** argv) {
   std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-  return driver_run(args);
-}
-
-int standalone_main(const char* figure, int argc, char** argv) {
-  std::vector<std::string> args{"run", figure};
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
   return driver_run(args);
 }

@@ -4,8 +4,10 @@
 //   emc_repro --all [flags]
 //   emc_repro run <figure>... [flags]        ("run" is optional sugar)
 //   emc_repro merge <partial>... [--refs DIR] [--check]
-//   emc_repro cache stats DIR
-//   emc_repro cache prune DIR --keep N
+//   emc_repro lint ...  /  emc_repro sta ...
+//                            the static checks (netlist lint, static
+//                            timing) over the figures' lint hooks; see
+//                            repro/static_checks.hpp
 //
 // Flags:
 //   --check                  byte-compare declared ref artifacts against
@@ -41,13 +43,6 @@
 //   --trials N               override the replicated figures' trial
 //                            count (scale up/down without recompiling);
 //                            incompatible with --check.
-//   --cache DIR              content-addressed result cache: a run whose
-//                            (code version, figure, seed, mode, trials,
-//                            shard) key is stored restores artifacts
-//                            instead of simulating; misses store after
-//                            a clean run. The manifest records the
-//                            per-figure "cache" state (hit/stored/miss).
-//   --no-cache               look nothing up, store nothing.
 //
 // Exit codes (shared contract, tools/cli_common.hpp): 0 = all ok; 1 = a
 // run failed, a ref mismatched, a cross-check diverged, or a merge
@@ -65,9 +60,5 @@ int driver_main(int argc, char** argv);
 
 /// Full CLI on pre-split args (no argv[0]); what tests call.
 int driver_run(const std::vector<std::string>& args);
-
-/// Entry point for the thin per-figure standalone binaries CMake
-/// generates: behaves like `emc_repro run <figure> <argv[1:]...>`.
-int standalone_main(const char* figure, int argc, char** argv);
 
 }  // namespace emc::repro

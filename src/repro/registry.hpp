@@ -11,9 +11,9 @@
 // artifact list follow automatically.
 //
 // Registration happens from static initializers in the bench translation
-// units, which are linked *directly* into the emc_repro executable (and
-// into their thin standalone binaries) — never through a static library,
-// which would drop unreferenced registration objects.
+// units, which are linked *directly* into the emc_repro executable —
+// never through a static library, which would drop unreferenced
+// registration objects.
 //
 // Usage, at the bottom of a bench .cpp (replacing main()):
 //
@@ -24,8 +24,7 @@
 //       .run(run_fig2);
 //
 // The macro argument doubles as the registry key and must match the
-// source file's stem — CMake generates the standalone target's main()
-// from the same name.
+// source file's stem.
 #pragma once
 
 #include <cstddef>
@@ -126,7 +125,7 @@ struct ShardModel {
 
 /// One registered reproduction target.
 struct Figure {
-  std::string name;   // registry key == bench file stem == binary name
+  std::string name;   // registry key == bench file stem
   std::string title;  // one-line description for `emc_repro list`
   /// Every file the run writes into the working directory (manifest
   /// scope; also the set compared across thread counts).
@@ -137,8 +136,8 @@ struct Figure {
   std::uint64_t default_seed = 0;
   bool smoke_capable = false;
   RunFn run = nullptr;
-  /// Optional static-lint model (emc_lint / emc_repro --lint). Null =
-  /// the figure has no netlist to check; emc_lint reports that
+  /// Optional static-lint model (`emc_repro lint` / `emc_repro sta`).
+  /// Null = the figure has no netlist to check; both verbs report that
   /// explicitly rather than passing vacuously.
   LintFn lint = nullptr;
   /// Optional shard model (replicated figures only): declares the

@@ -1,6 +1,5 @@
 #include "sta/session.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "netlist/module.hpp"
@@ -12,9 +11,6 @@ void Session::check(const netlist::Circuit& c) {
   arc_count_ += a.arc_count;
   if (a.vacuous) vacuous_subjects_.push_back(c.name());
   for (auto& p : a.curve) curve_.emplace_back(c.name(), std::move(p));
-  if (!a.critical_edges.empty()) {
-    critical_.emplace_back(c.name(), std::move(a.critical_edges));
-  }
   add_result(c.name(), std::move(a.report));
 }
 
@@ -26,32 +22,15 @@ void Session::check(const sched::EnergyPetriNet& net,
   add_result(label, lint::Report{});
 }
 
-const std::vector<std::pair<std::string, std::string>>&
-Session::critical_edges(const std::string& circuit) const {
-  static const std::vector<std::pair<std::string, std::string>> kEmpty;
-  for (const auto& [name, edges] : critical_) {
-    if (name == circuit) return edges;
-  }
-  return kEmpty;
-}
-
-std::string Session::margin_csv() const {
+std::string Session::margin_rows(const std::string& prefix) const {
   std::ostringstream os;
-  os << "circuit,bundle,vdd,corner,trigger_s,datapath_s,ratio,limit,ok\n";
   os.precision(9);
   for (const auto& [circuit, p] : curve_) {
-    os << circuit << "," << p.bundle << "," << p.vdd << ","
+    os << prefix << circuit << "," << p.bundle << "," << p.vdd << ","
        << (p.corner ? 1 : 0) << "," << p.trigger_s << "," << p.datapath_s
        << "," << p.ratio << "," << p.limit << "," << (p.ok ? 1 : 0) << "\n";
   }
   return os.str();
-}
-
-bool Session::write_margin_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << margin_csv();
-  return static_cast<bool>(out);
 }
 
 }  // namespace emc::sta

@@ -4,10 +4,10 @@
 // Figures register ONE lint hook; whether it performs netlist lint or
 // static timing analysis depends on the Session subclass the driver
 // hands it. check(Circuit) here runs sta::analyze instead of
-// lint::analyze and accumulates the margin curves and critical-path
-// edges alongside the per-subject reports, so the same hook body
-// (`s.check(thing.circuit())`) serves emc_lint, emc_sta, and both
-// emc_repro gates without duplication.
+// lint::analyze and accumulates the margin curves and arc counts
+// alongside the per-subject reports, so the same hook body
+// (`s.check(thing.circuit())`) serves both `emc_repro lint` and
+// `emc_repro sta` without duplication.
 //
 // Petri-net checks have no timing surface — check(net, label) records a
 // legitimately clean empty report so hooks that lint a scheduler
@@ -49,24 +49,21 @@ class Session : public lint::Session {
     return curve_;
   }
 
-  /// Critical-path DOT edges of every violated constraint, per circuit
-  /// (feed netlist::DotStyle::highlight_edges to render them red).
-  const std::vector<std::pair<std::string, std::string>>& critical_edges(
-      const std::string& circuit) const;
+  /// Header line of the margin CSV.
+  static constexpr const char* kMarginCsvHeader =
+      "circuit,bundle,vdd,corner,trigger_s,datapath_s,ratio,limit,ok\n";
 
-  /// The margin curves as CSV (circuit,bundle,vdd,corner,trigger_s,
-  /// datapath_s,ratio,limit,ok) — the CI artifact.
-  std::string margin_csv() const;
-  bool write_margin_csv(const std::string& path) const;
+  /// The margin curves as CSV rows, one per curve point, each preceded
+  /// by `prefix` (`emc_repro sta --csv` passes "<figure>,").
+  std::string margin_rows(const std::string& prefix = "") const;
+  /// Header plus rows — the margin curves as a standalone CSV.
+  std::string margin_csv() const { return kMarginCsvHeader + margin_rows(); }
 
  private:
   Options opt_;
   std::vector<std::string> vacuous_subjects_;
   std::size_t arc_count_ = 0;
   std::vector<std::pair<std::string, MarginPoint>> curve_;
-  std::vector<
-      std::pair<std::string, std::vector<std::pair<std::string, std::string>>>>
-      critical_;
 };
 
 }  // namespace emc::sta

@@ -133,7 +133,7 @@ Arrival propagate(const WireGraph& g, const device::DelayModel& model,
   return r;
 }
 
-/// Walk the critical path into `node` backwards, appending the DOT-level
+/// Walk the critical path into `node` backwards, appending the netlist
 /// (from, via) and (via, to) edge pairs of every arc on it.
 void collect_critical(const WireGraph& g, const Arrival& arrival,
                       std::size_t node,

@@ -35,7 +35,7 @@
 //
 // A circuit that records bundles but no timing arcs on their paths is a
 // *vacuous* model — the analysis refuses to call it clean (Analysis::
-// vacuous; the emc_sta CLI exits 2, mirroring a missing lint model).
+// vacuous; `emc_repro sta` exits 2, mirroring a missing lint model).
 #pragma once
 
 #include <string>
@@ -79,8 +79,8 @@ struct Analysis {
   lint::Report report;
   /// Margin curves for every bundle (nominal and corner rows).
   std::vector<MarginPoint> curve;
-  /// DOT-highlightable (from, to) edge pairs of the critical paths of
-  /// every violated bundle constraint (netlist::DotStyle input).
+  /// Netlist (from, to) edge pairs of the critical paths of every
+  /// violated bundle constraint.
   std::vector<std::pair<std::string, std::string>> critical_edges;
   /// Timing arcs recorded on the circuit (0 + bundles => vacuous).
   std::size_t arc_count = 0;

@@ -1,26 +1,13 @@
-// netlist utility tests: DOT export (dot.cpp) and activity snapshots
-// (stats.cpp).
+// netlist utility tests: activity snapshots (stats.cpp).
 //
-// The DOT exporter is the debugging surface for every connectivity
-// question ("why does lint think this is a cycle?"), and since this PR
-// it also renders the sta analyzer's critical paths — so its output is
-// worth pinning: every recorded edge appears exactly once, names are
-// quoted/escaped correctly, and the styled overload colors exactly the
-// requested edges. The stats helpers feed Fig. 3's adaptation loop;
-// their arithmetic (deltas, rates) is checked against a hand-built
-// meter history.
+// The stats helpers feed Fig. 3's adaptation loop; their arithmetic
+// (deltas, rates) is checked against a hand-built meter history.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
-#include "async/pipeline.hpp"
 #include "device/delay_model.hpp"
-#include "gates/combinational.hpp"
 #include "gates/energy_meter.hpp"
-#include "netlist/dot.hpp"
 #include "netlist/module.hpp"
 #include "netlist/stats.hpp"
 #include "sim/kernel.hpp"
@@ -41,82 +28,6 @@ struct Fixture {
         meter(kernel, device::Tech::umc90(), &supply),
         ctx{kernel, model, supply, &meter} {}
 };
-
-std::size_t count_occurrences(const std::string& hay,
-                              const std::string& needle) {
-  std::size_t n = 0;
-  for (std::size_t at = hay.find(needle); at != std::string::npos;
-       at = hay.find(needle, at + needle.size())) {
-    ++n;
-  }
-  return n;
-}
-
-// ---- to_dot ---------------------------------------------------------------
-
-TEST(NetlistDot, ProductionCircuitExportsEveryEdge) {
-  Fixture f;
-  async::MullerRing ring(f.ctx, "ring", 6, 2);
-  const Circuit& c = ring.circuit();
-  const std::string dot = to_dot(c);
-  EXPECT_EQ(dot.rfind("digraph \"ring\" {", 0), 0u);
-  EXPECT_EQ(dot.back(), '\n');
-  EXPECT_NE(dot.find("}\n"), std::string::npos);
-  ASSERT_FALSE(c.edges().empty());
-  for (const auto& [from, to] : c.edges()) {
-    const std::string edge = "\"" + from + "\" -> \"" + to + "\"";
-    EXPECT_NE(dot.find(edge), std::string::npos) << edge;
-  }
-  // Plain export styles nothing.
-  EXPECT_EQ(dot.find("color="), std::string::npos);
-}
-
-TEST(NetlistDot, QuotesAndBackslashesAreEscaped) {
-  Fixture f;
-  Circuit c(f.ctx, "weird\"name");
-  c.note_edge("a\"b", "c\\d");
-  const std::string dot = to_dot(c);
-  EXPECT_NE(dot.find("digraph \"weird\\\"name\""), std::string::npos);
-  EXPECT_NE(dot.find("\"a\\\"b\" -> \"c\\\\d\""), std::string::npos);
-}
-
-TEST(NetlistDot, StyledExportHighlightsExactlyTheRequestedEdges) {
-  Fixture f;
-  Circuit c(f.ctx, "styled");
-  sim::Wire& a = c.wire("a");
-  sim::Wire& b = c.wire("b");
-  sim::Wire& d = c.wire("d");
-  c.mark_env_driven(a);
-  c.comb("g1", gates::Op::kBuf, {&a}, b);
-  c.comb("g2", gates::Op::kBuf, {&b}, d);
-  DotStyle style;
-  style.highlight_edges.insert({"styled.a", "styled.g1"});
-  style.highlight_edges.insert({"styled.g1", "styled.b"});
-  const std::string dot = to_dot(c, style);
-  EXPECT_EQ(count_occurrences(dot, "color=\"red\""), 2u);
-  EXPECT_NE(dot.find("\"styled.a\" -> \"styled.g1\" [color=\"red\""),
-            std::string::npos);
-  // The unhighlighted edge stays plain.
-  EXPECT_NE(dot.find("\"styled.b\" -> \"styled.g2\";"), std::string::npos);
-
-  DotStyle green = style;
-  green.highlight_color = "green";
-  EXPECT_EQ(count_occurrences(to_dot(c, green), "color=\"green\""), 2u);
-}
-
-TEST(NetlistDot, WriteDotRoundTrips) {
-  Fixture f;
-  Circuit c(f.ctx, "rt");
-  c.note_edge("x", "y");
-  const std::string path = "netlist_test_rt.dot";
-  ASSERT_TRUE(write_dot(c, path));
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(ss.str(), to_dot(c));
-  std::remove(path.c_str());
-  EXPECT_FALSE(write_dot(c, "no_such_dir/netlist_test_rt.dot"));
-}
 
 // ---- activity snapshots / deltas ------------------------------------------
 

@@ -1,11 +1,9 @@
-// Power-adaptive layer tests: probes, trackers, QoS curves, hybrid mode
-// switching, DVFS baseline, holistic adaptive controller.
+// Power-adaptive layer tests: probes, meters, QoS curves, hybrid mode
+// switching, holistic adaptive controller.
 #include <gtest/gtest.h>
 
 #include "gates/energy_meter.hpp"
-#include "power/activity_tracker.hpp"
 #include "power/adaptive_controller.hpp"
-#include "power/dvfs.hpp"
 #include "power/hybrid.hpp"
 #include "power/power_meter.hpp"
 #include "power/qos.hpp"
@@ -27,21 +25,6 @@ TEST(DirectProbe, ReadsSupply) {
   });
   EXPECT_DOUBLE_EQ(got, 0.73);
   EXPECT_DOUBLE_EQ(probe.cost_j(), 0.0);
-}
-
-TEST(ActivityTracker, WindowedRate) {
-  sim::Kernel k;
-  ActivityTracker tracker(k, sim::ms(1));
-  for (int i = 0; i < 10; ++i) {
-    k.schedule_at(sim::us(100) * (i + 1), [&] { tracker.note_op(); });
-  }
-  k.run();
-  EXPECT_DOUBLE_EQ(tracker.total_ops(), 10.0);
-  EXPECT_NEAR(tracker.rate_hz(), 10.0 / 1e-3, 1.0);
-  // After the window slides past, the rate decays.
-  k.schedule(sim::ms(5), [] {});
-  k.run();
-  EXPECT_DOUBLE_EQ(tracker.ops_in_window(), 0.0);
 }
 
 TEST(ConsumptionMeter, LapsMeasureDeltas) {
@@ -104,25 +87,6 @@ TEST(HybridController, FromCurvesRespectsDeliveryFloor) {
   }
   HybridController hc = HybridController::from_curves(d1, d2, 1e4);
   EXPECT_GE(hc.switch_vdd(), 0.6);
-}
-
-TEST(Dvfs, StepsUpAndDownWithUtilization) {
-  sim::Kernel k;
-  supply::Battery rail(k, "rail", 1.0);
-  DvfsController dvfs(rail, DvfsParams{});
-  EXPECT_DOUBLE_EQ(dvfs.level(), 1.0);
-  dvfs.update(0.1);
-  EXPECT_DOUBLE_EQ(dvfs.level(), 0.8);
-  dvfs.update(0.1);
-  dvfs.update(0.1);
-  EXPECT_DOUBLE_EQ(dvfs.level(), 0.4);  // floor
-  dvfs.update(0.1);
-  EXPECT_DOUBLE_EQ(dvfs.level(), 0.4);
-  dvfs.update(0.95);
-  EXPECT_DOUBLE_EQ(dvfs.level(), 0.6);
-  EXPECT_DOUBLE_EQ(rail.voltage(), 0.6);
-  EXPECT_GT(dvfs.switch_energy_j(), 0.0);
-  EXPECT_EQ(dvfs.switches(), 4u);
 }
 
 TEST(AdaptiveController, TracksStoreVoltageBands) {

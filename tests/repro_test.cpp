@@ -12,7 +12,12 @@
 //     stable across two runs;
 //   * --jobs 4 produces byte-identical artifacts to --jobs 1;
 //   * --threads-cross-check flags a figure whose output depends on the
-//     sweep thread count (exit 1) and passes a clean one (exit 0).
+//     sweep thread count (exit 1) and passes a clean one (exit 0);
+//   * the `lint` and `sta` verbs run synthetic lint hooks and keep the
+//     0/1/2 contract: clean model 0, seeded finding 1, missing model,
+//     unknown figure or vacuous timing model 2;
+//   * retired options (--cache, --no-cache, cache, --lint, --sta) are
+//     usage errors.
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +30,11 @@
 
 #include <gtest/gtest.h>
 
+#include "async/bundled.hpp"
+#include "async/pipeline.hpp"
+#include "gates/combinational.hpp"
+#include "lint/session.hpp"
+#include "netlist/module.hpp"
 #include "repro/driver.hpp"
 #include "repro/registry.hpp"
 #include "repro/sha256.hpp"
@@ -112,6 +122,64 @@ REPRO_FIGURE(zz_repro_throws)
     .title("synthetic: body throws — must not kill the batch")
     .ref_csv("zz_throws.csv")
     .run(run_throwing);
+
+// Lint hooks for the static verbs. Each figure's body does nothing; the
+// verbs only build and check its circuits.
+int run_noop(const RunContext&) { return 0; }
+
+// A Muller ring: clean under both the netlist and the timing rules.
+void lint_clean_ring(emc::lint::Session& s) {
+  emc::async::MullerRing ring(s.ctx(), "ring", 6, 2);
+  s.check(ring.circuit());
+}
+
+// Seeded W001: a buffer whose input nothing drives.
+void lint_floating_input(emc::lint::Session& s) {
+  emc::netlist::Circuit c(s.ctx(), "w1");
+  emc::sim::Wire& in = c.wire("in");
+  emc::sim::Wire& out = c.wire("out");
+  c.comb("buf", emc::gates::Op::kBuf, {&in}, out);
+  s.check(c);
+}
+
+// Seeded T001: a bundled counter whose delay line is half the datapath.
+void lint_short_bundle(emc::lint::Session& s) {
+  emc::async::BundledParams p;
+  p.bits = 2;
+  p.margin = 0.5;
+  emc::async::BundledCounter bc(s.ctx(), "bc", p);
+  bc.circuit().declare_operating_range(0.8, 1.0);
+  s.check(bc.circuit());
+}
+
+// A bundle with no timing arcs behind it: a vacuous timing model.
+void lint_hollow_bundle(emc::lint::Session& s) {
+  emc::netlist::Circuit c(s.ctx(), "hollow");
+  c.wire("trigger");
+  c.wire("data");
+  emc::netlist::BundleInfo b;
+  b.name = "hollow.bundle";
+  b.trigger = "hollow.trigger";
+  b.targets.push_back("hollow.data");
+  c.note_bundle(b);
+  s.check(c);
+}
+
+REPRO_FIGURE(zz_static_clean).title("synthetic").lint(lint_clean_ring).run(
+    run_noop);
+REPRO_FIGURE(zz_static_floating)
+    .title("synthetic")
+    .lint(lint_floating_input)
+    .run(run_noop);
+REPRO_FIGURE(zz_static_short_bundle)
+    .title("synthetic")
+    .lint(lint_short_bundle)
+    .run(run_noop);
+REPRO_FIGURE(zz_static_hollow)
+    .title("synthetic")
+    .lint(lint_hollow_bundle)
+    .run(run_noop);
+REPRO_FIGURE(zz_static_no_model).title("synthetic").run(run_noop);
 
 REPRO_FIGURE(zz_repro_jobs_0).title("synthetic").ref_csv("zz_jobs_0.csv").run(
     run_jobs_fig<0>);
@@ -478,4 +546,95 @@ TEST_F(ReproDriverTest, MissingDeclaredArtifactFails) {
   const std::string m = read_file("m.json");
   EXPECT_NE(m.find("\"file\": \"zz_selftest_a.csv\""), std::string::npos);
   EXPECT_NE(m.find("\"status\": \"ok\""), std::string::npos);
+}
+
+TEST_F(ReproDriverTest, RetiredOptionsAreUsageErrors) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"run", "zz_repro_selftest_a", "--cache", "cc"},
+           {"run", "zz_repro_selftest_a", "--no-cache"},
+           {"run", "zz_repro_selftest_a", "--lint"},
+           {"run", "zz_repro_selftest_a", "--sta"},
+           {"cache", "stats", "cc"},
+           {"cache", "prune", "cc", "--keep", "1"}}) {
+    EXPECT_EQ(emc::repro::driver_run(args), 2) << args.back();
+  }
+  EXPECT_FALSE(fs::exists("zz_selftest_a.csv"));
+}
+
+// --- the static verbs: lint and sta --------------------------------------
+
+TEST_F(ReproDriverTest, LintVerbKeepsTheExitContract) {
+  using emc::repro::driver_run;
+  EXPECT_EQ(driver_run({"lint", "zz_static_clean"}), 0);
+  EXPECT_EQ(driver_run({"lint", "zz_static_floating"}), 1);
+  EXPECT_EQ(driver_run({"lint", "zz_static_no_model"}), 2);
+  EXPECT_EQ(driver_run({"lint", "zz_no_such_figure"}), 2);
+  // Findings outrank a missing model.
+  EXPECT_EQ(driver_run({"lint", "zz_static_floating", "zz_static_no_model"}),
+            1);
+  // --only keeps just the listed rules: W001 is the seeded finding.
+  EXPECT_EQ(driver_run({"lint", "zz_static_floating", "--only", "C001"}), 0);
+  EXPECT_EQ(driver_run({"lint", "zz_static_floating", "--only", "W001"}), 1);
+  EXPECT_EQ(driver_run({"lint", "zz_static_clean", "--only"}), 2);
+  EXPECT_EQ(driver_run({"lint", "zz_static_clean", "--csv", "x.csv"}), 2);
+  EXPECT_EQ(driver_run({"lint"}), 2);
+  EXPECT_EQ(driver_run({"lint", "list"}), 0);
+  EXPECT_EQ(driver_run({"lint", "--rules"}), 0);
+}
+
+TEST_F(ReproDriverTest, StaVerbKeepsTheExitContract) {
+  using emc::repro::driver_run;
+  EXPECT_EQ(driver_run({"sta", "zz_static_clean"}), 0);
+  EXPECT_EQ(driver_run({"sta", "zz_static_short_bundle"}), 1);
+  EXPECT_EQ(driver_run({"sta", "zz_static_no_model"}), 2);
+  EXPECT_EQ(driver_run({"sta", "zz_no_such_figure"}), 2);
+  EXPECT_EQ(driver_run({"sta", "zz_static_hollow"}), 2);
+  EXPECT_EQ(driver_run({"sta", "zz_static_short_bundle", "--only", "T002"}),
+            0);
+  EXPECT_EQ(driver_run({"sta", "zz_static_clean", "--csv"}), 2);
+  EXPECT_EQ(driver_run({"sta", "list"}), 0);
+  EXPECT_EQ(driver_run({"sta", "--rules"}), 0);
+}
+
+TEST_F(ReproDriverTest, StaVerbWritesFigureTaggedMarginCsv) {
+  ASSERT_EQ(emc::repro::driver_run({"sta", "zz_static_clean",
+                                    "zz_static_short_bundle", "--csv",
+                                    "margins.csv"}),
+            1);
+  const std::string csv = read_file("margins.csv");
+  EXPECT_EQ(csv.rfind("figure,circuit,bundle,vdd,corner,trigger_s,"
+                      "datapath_s,ratio,limit,ok\n",
+                      0),
+            0u)
+      << csv;
+  // The ring has no bundles; every curve row is the counter's.
+  std::istringstream lines(csv);
+  std::string line;
+  std::getline(lines, line);
+  std::size_t rows = 0;
+  while (std::getline(lines, line)) {
+    EXPECT_EQ(line.rfind("zz_static_short_bundle,bc,", 0), 0u) << line;
+    ++rows;
+  }
+  EXPECT_GT(rows, 0u);
+}
+
+TEST_F(ReproDriverTest, StaticVerbsEmitWellFormedJson) {
+  for (const char* verb : {"lint", "sta"}) {
+    ::testing::internal::CaptureStdout();
+    const int rc = emc::repro::driver_run(
+        {verb, "zz_static_clean", "zz_static_floating", "zz_static_no_model",
+         "--json"});
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_NE(rc, 0) << verb;
+    EXPECT_TRUE(JsonChecker(out).valid()) << out;
+    EXPECT_EQ(out.rfind(std::string("{\"tool\":\"emc_repro ") + verb +
+                            "\",\"figures\":[",
+                        0),
+              0u)
+        << out;
+    // A figure without a model is left out of the report, not faked.
+    EXPECT_EQ(out.find("zz_static_no_model"), std::string::npos) << out;
+  }
 }

@@ -1,7 +1,7 @@
 // Scale-out backend tests: streaming runs vs materialized runs, the
 // shard partition, the partial-file wire format, `emc_repro run --shard`
-// + `merge` byte-identity through the driver, the flag validation
-// surface, and the content-addressed result cache.
+// + `merge` byte-identity through the driver, and the flag validation
+// surface.
 //
 // Like repro_test.cpp, this binary registers its own synthetic figures
 // (the real benches link into emc_repro only), so every run here is a
@@ -20,11 +20,9 @@
 #include "analysis/csv.hpp"
 #include "analysis/table.hpp"
 #include "exp/workbench.hpp"
-#include "repro/cache.hpp"
 #include "repro/driver.hpp"
 #include "repro/partial.hpp"
 #include "repro/registry.hpp"
-#include "repro/sha256.hpp"
 
 namespace fs = std::filesystem;
 using emc::repro::RunContext;
@@ -123,8 +121,8 @@ REPRO_FIGURE(zz_scale_plain)
     .artifact("zz_scale_plain.csv")
     .run(run_zz_scale_plain);
 
-// Per-test temp working directory (figure bodies and the cache write
-// relative to the cwd).
+// Per-test temp working directory (figure bodies write relative to the
+// cwd).
 class ScaleOutTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -367,127 +365,4 @@ TEST_F(ScaleOutTest, SingleTrialRunStillCarriesTrialSeed) {
   emc::exp::Workbench materialized = zz_scale_bench(ctx);
   materialized.run(zz_scale_body);
   EXPECT_EQ(materialized.table().to_csv(), want);
-}
-
-// --- result cache ------------------------------------------------------
-
-TEST_F(ScaleOutTest, CacheStoresThenServesByteIdenticalArtifacts) {
-  ASSERT_EQ(emc::repro::driver_run({"run", "zz_scale", "--cache", "cc",
-                                    "--manifest", "m1.json"}),
-            0);
-  const std::string m1 = read_file("m1.json");
-  EXPECT_NE(m1.find("\"cache\": \"stored\""), std::string::npos) << m1;
-  const std::string trials = read_file("zz_scale_trials.csv");
-  const std::string agg = read_file("zz_scale.csv");
-
-  // Second run: served from the cache, artifacts byte-identical.
-  fs::remove("zz_scale_trials.csv");
-  fs::remove("zz_scale.csv");
-  ASSERT_EQ(emc::repro::driver_run({"run", "zz_scale", "--cache", "cc",
-                                    "--manifest", "m2.json"}),
-            0);
-  const std::string m2 = read_file("m2.json");
-  EXPECT_NE(m2.find("\"cache\": \"hit\""), std::string::npos) << m2;
-  EXPECT_EQ(read_file("zz_scale_trials.csv"), trials);
-  EXPECT_EQ(read_file("zz_scale.csv"), agg);
-
-  // Key sensitivity: a different seed misses and stores its own entry.
-  ASSERT_EQ(emc::repro::driver_run({"run", "zz_scale", "--cache", "cc",
-                                    "--seed", "99", "--manifest", "m3.json"}),
-            0);
-  EXPECT_NE(read_file("m3.json").find("\"cache\": \"stored\""),
-            std::string::npos);
-
-  // --no-cache bypasses lookup and store alike.
-  ASSERT_EQ(emc::repro::driver_run({"run", "zz_scale", "--cache", "cc",
-                                    "--no-cache", "--manifest", "m4.json"}),
-            0);
-  EXPECT_NE(read_file("m4.json").find("\"cache\": \"off\""),
-            std::string::npos);
-
-  // The cache subcommands see both stored entries.
-  EXPECT_EQ(emc::repro::driver_run({"cache", "stats", "cc"}), 0);
-  EXPECT_EQ(emc::repro::driver_run({"cache", "prune", "cc", "--keep", "1"}),
-            0);
-  emc::repro::ResultCache cache("cc");
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-TEST_F(ScaleOutTest, CacheKeyCanonicalizationSeparatesEveryField) {
-  emc::repro::CacheKey base;
-  base.figure = "fig";
-  base.seed = 7;
-  base.code_version = "v1";
-  base.artifacts = {"a.csv"};
-
-  std::set<std::string> hashes;
-  hashes.insert(base.hash());
-  EXPECT_EQ(base.hash(), base.hash());  // pure
-
-  auto vary = [&](auto&& mutate) {
-    emc::repro::CacheKey k = base;
-    mutate(k);
-    EXPECT_TRUE(hashes.insert(k.hash()).second) << k.canonical();
-  };
-  vary([](emc::repro::CacheKey& k) { k.figure = "other"; });
-  vary([](emc::repro::CacheKey& k) { k.seed = 8; });
-  vary([](emc::repro::CacheKey& k) { k.smoke = true; });
-  vary([](emc::repro::CacheKey& k) { k.trials_override = 100; });
-  vary([](emc::repro::CacheKey& k) {
-    k.sharded = true;
-    k.shard_index = 0;
-    k.shard_count = 2;
-  });
-  vary([](emc::repro::CacheKey& k) {
-    k.sharded = true;
-    k.shard_index = 1;
-    k.shard_count = 2;
-  });
-  vary([](emc::repro::CacheKey& k) { k.code_version = "v2"; });
-  vary([](emc::repro::CacheKey& k) { k.artifacts.push_back("b.csv"); });
-}
-
-TEST_F(ScaleOutTest, ResultCacheRoundTripAndMissBehavior) {
-  ASSERT_TRUE(write_file("one.csv", "a,b\n1,2\n"));
-  ASSERT_TRUE(write_file("two.csv", "c\n3\n"));
-
-  emc::repro::CacheKey key;
-  key.figure = "zz_roundtrip";
-  key.seed = 1;
-  key.code_version = "pinned";
-  key.artifacts = {"one.csv", "two.csv"};
-
-  emc::repro::ResultCache cache("store");
-  EXPECT_FALSE(cache.restore(key));  // empty cache: clean miss
-  ASSERT_TRUE(cache.store(key, key.artifacts));
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.stats().objects, 2u);
-
-  fs::remove("one.csv");
-  fs::remove("two.csv");
-  ASSERT_TRUE(cache.restore(key));
-  EXPECT_EQ(read_file("one.csv"), "a,b\n1,2\n");
-  EXPECT_EQ(read_file("two.csv"), "c\n3\n");
-
-  // Identical content under two keys shares one object.
-  emc::repro::CacheKey key2 = key;
-  key2.seed = 2;
-  ASSERT_TRUE(cache.store(key2, key2.artifacts));
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().objects, 2u);
-
-  // A corrupted store (object removed) must miss, not half-restore.
-  const std::string obj =
-      "store/objects/" + emc::repro::sha256_hex("a,b\n1,2\n");
-  ASSERT_TRUE(fs::remove(obj));
-  fs::remove("one.csv");
-  fs::remove("two.csv");
-  EXPECT_FALSE(cache.restore(key));
-  EXPECT_FALSE(fs::exists("one.csv"));
-  EXPECT_FALSE(fs::exists("two.csv"));
-
-  // Prune to zero entries garbage-collects every object.
-  EXPECT_EQ(cache.prune(0), 2u);
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().objects, 0u);
 }

@@ -86,12 +86,6 @@ TEST(Time, FromSecondsMatchesLlroundBelow2To63) {
   }
 }
 
-TEST(Time, Format) {
-  EXPECT_EQ(format_time(ps(1500)), "1.500 ns");
-  EXPECT_EQ(format_time(0), "0 fs");
-  EXPECT_EQ(format_time(fs(999)), "999.000 fs");
-}
-
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> order;

@@ -1,7 +1,6 @@
-// Shared CLI surface of the registry-driven tools (emc_repro, emc_lint,
-// emc_sta).
+// Shared CLI surface of emc_repro's verbs (run, merge, lint, sta).
 //
-// All three tools speak the same dialect: `list` enumerates registered
+// All verbs speak the same dialect: `list` enumerates registered
 // figures, `--all` selects everything, bare arguments are figure names
 // resolved against the registry, and the exit code means the same thing
 // everywhere:
@@ -14,9 +13,9 @@
 // Findings outrank vacuousness — a run that both failed and skipped
 // something exits 1, so CI surfaces the real defect first.
 //
-// This header is the single home of that contract; the tools keep their
-// tool-specific flags and report formats but route selection, listing
-// and exit-code folding through here so the three cannot drift.
+// This header is the single home of that contract; each verb keeps its
+// own flags and report format but routes selection, listing and
+// exit-code folding through here so the verbs cannot drift.
 #pragma once
 
 #include <functional>
@@ -36,7 +35,7 @@ extern const char* kExitCodeHelp;
 /// tokens.
 std::vector<std::string> split_list(const std::string& arg);
 
-/// Resolve the tool's selection (--all or explicit figure names) against
+/// Resolve a verb's selection (--all or explicit figure names) against
 /// the registry. Returns 0 and fills *out on success; prints
 /// "<tool>: unknown figure ... (try list)" or "<tool>: nothing
 /// registered" to stderr and returns 2 on a vacuous selection. Callers

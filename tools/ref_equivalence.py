@@ -6,8 +6,8 @@ must show that the old and the new refs describe the same
 distributions. Run each build's replicated figures at a large
 `--trials` into its own directory, then compare:
 
-    (cd old && emc_repro_old run fig_mc_yield --trials 2000 --no-cache)
-    (cd new && emc_repro_new run fig_mc_yield --trials 2000 --no-cache)
+    (cd old && emc_repro_old run fig_mc_yield --trials 2000)
+    (cd new && emc_repro_new run fig_mc_yield --trials 2000)
     python3 tools/ref_equivalence.py old new
 
 Every figure that wrote both `<name>.csv` (the aggregate) and
