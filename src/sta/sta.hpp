@@ -79,9 +79,6 @@ struct Analysis {
   lint::Report report;
   /// Margin curves for every bundle (nominal and corner rows).
   std::vector<MarginPoint> curve;
-  /// Netlist (from, to) edge pairs of the critical paths of every
-  /// violated bundle constraint.
-  std::vector<std::pair<std::string, std::string>> critical_edges;
   /// Timing arcs recorded on the circuit (0 + bundles => vacuous).
   std::size_t arc_count = 0;
   /// Bundles present but not a single arc on their trigger or datapath:

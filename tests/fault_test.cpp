@@ -39,6 +39,7 @@
 #include "gates/combinational.hpp"
 #include "sensor/calibration.hpp"
 #include "supply/battery.hpp"
+#include "supply/storage_cap.hpp"
 
 namespace emc::fault {
 namespace {
@@ -491,6 +492,21 @@ TEST(FaultableSupplyTest, ScalesByMinActiveWindowAndForwards) {
   fs.begin_fault(0.0);
   fs.end_fault(0.0);
   EXPECT_TRUE(woke);
+}
+
+TEST(FaultableSupplyTest, InnerStoreChangesReachTheWrapperEpoch) {
+  // A battery draw leaves the epoch alone; a storage-cap draw moves the
+  // voltage, so it must invalidate the wrapper's consumers too.
+  sim::Kernel kernel;
+  supply::StorageCap store(kernel, "store", 1e-6, 1.0);
+  FaultableSupply fs(store);
+  const std::uint64_t e0 = fs.voltage_epoch();
+  store.draw(1e-9, 1e-9);
+  EXPECT_GT(fs.voltage_epoch(), e0);
+  const std::uint64_t e1 = fs.voltage_epoch();
+  fs.draw(1e-9, 1e-9);  // through the wrapper: same store, same rule
+  EXPECT_GT(fs.voltage_epoch(), e1);
+  EXPECT_DOUBLE_EQ(fs.voltage(), store.voltage());
 }
 
 TEST(FaultSmoke, EnvVarForcesTheWrapperUnderEveryBuild) {

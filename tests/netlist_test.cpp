@@ -1,15 +1,17 @@
-// netlist utility tests: activity snapshots (stats.cpp).
+// netlist tests: the Circuit's typed element inventory (module.hpp).
 //
-// The stats helpers feed Fig. 3's adaptation loop; their arithmetic
-// (deltas, rates) is checked against a hand-built meter history.
+// The lint rules and the static timing analyzer read a circuit through
+// this inventory, so the kind each element is recorded as (and whether
+// that kind may hold state on a feedback cycle) is checked here.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "device/delay_model.hpp"
+#include "gates/celement.hpp"
 #include "gates/energy_meter.hpp"
+#include "gates/toggle.hpp"
 #include "netlist/module.hpp"
-#include "netlist/stats.hpp"
 #include "sim/kernel.hpp"
 #include "supply/battery.hpp"
 
@@ -29,39 +31,53 @@ struct Fixture {
         ctx{kernel, model, supply, &meter} {}
 };
 
-// ---- activity snapshots / deltas ------------------------------------------
-
-TEST(NetlistStats, DeltaComputesWindowRates) {
-  Fixture f;
-  const auto g1 = f.meter.add("mod.g1");
-  const auto g2 = f.meter.add("mod.g2");
-  const ActivitySnapshot s0 = snapshot(f.meter, sim::ns(0));
-
-  f.meter.record_transition(g1, 1e-12);
-  f.meter.record_transition(g1, 1e-12);
-  f.meter.record_transition(g2, 3e-12);
-  const ActivitySnapshot s1 = snapshot(f.meter, sim::us(1));
-
-  const ActivityDelta d = delta(s0, s1);
-  EXPECT_EQ(d.transitions, 3u);
-  EXPECT_NEAR(d.dynamic_j, 5e-12, 1e-18);
-  EXPECT_NEAR(d.seconds, 1e-6, 1e-12);
-  EXPECT_NEAR(d.transition_rate_hz(), 3e6, 1.0);
-  EXPECT_NEAR(d.power_w(), d.energy_j() / 1e-6, 1e-9);
-
-  // Per-module rollup at depth 1 groups both gates under "mod".
-  ASSERT_EQ(s1.transitions_by_module.count("mod"), 1u);
-  EXPECT_EQ(s1.transitions_by_module.at("mod"), 3u);
-  EXPECT_NEAR(s1.energy_by_module.at("mod"), 5e-12, 1e-18);
+ElementKind kind_named(const Circuit& c, const std::string& name) {
+  for (const auto& e : c.elements()) {
+    if (e.name == name) return e.kind;
+  }
+  ADD_FAILURE() << "no element " << name;
+  return ElementKind::kOther;
 }
 
-TEST(NetlistStats, EmptyWindowHasZeroRates) {
+TEST(NetlistInventory, ElementsRecordTheirConcreteKind) {
   Fixture f;
-  const ActivitySnapshot s0 = snapshot(f.meter, sim::ns(0));
-  const ActivityDelta d = delta(s0, s0);
-  EXPECT_EQ(d.transitions, 0u);
-  EXPECT_EQ(d.transition_rate_hz(), 0.0);
-  EXPECT_EQ(d.power_w(), 0.0);
+  Circuit c(f.ctx, "m");
+  sim::Wire& a = c.wire("a");
+  sim::Wire& b = c.wire("b");
+  sim::Wire& y = c.wire("y");
+  sim::Wire& z = c.wire("z");
+  sim::Wire& dot = c.wire("dot");
+  sim::Wire& blank = c.wire("blank");
+  c.comb("nand", gates::Op::kNand, {&a, &b}, y);
+  c.emplace<gates::CElement>(f.ctx, "m.c", std::vector<sim::Wire*>{&a, &b},
+                             z);
+  c.emplace<gates::Toggle>(f.ctx, "m.t", z, dot, blank);
+  c.note_element("m.latch", ElementKind::kEndpoint);
+
+  ASSERT_EQ(c.elements().size(), 4u);
+  EXPECT_EQ(kind_named(c, "m.nand"), ElementKind::kComb);
+  EXPECT_EQ(kind_named(c, "m.c"), ElementKind::kCElement);
+  EXPECT_EQ(kind_named(c, "m.t"), ElementKind::kToggle);
+  EXPECT_EQ(kind_named(c, "m.latch"), ElementKind::kEndpoint);
+}
+
+TEST(NetlistInventory, NoteElementKeepsTheFirstKind) {
+  Fixture f;
+  Circuit c(f.ctx, "m");
+  c.note_element("m.x", ElementKind::kEndpoint);
+  c.note_element("m.x", ElementKind::kComb);
+  ASSERT_EQ(c.elements().size(), 1u);
+  EXPECT_EQ(c.elements()[0].kind, ElementKind::kEndpoint);
+}
+
+TEST(NetlistInventory, OnlyCombinationalKindsAreStateless) {
+  EXPECT_FALSE(is_state_holding(ElementKind::kComb));
+  for (ElementKind k : {ElementKind::kCElement, ElementKind::kToggle,
+                        ElementKind::kEndpoint, ElementKind::kOther}) {
+    EXPECT_TRUE(is_state_holding(k)) << to_string(k);
+  }
+  EXPECT_STREQ(to_string(ElementKind::kCElement), "c-element");
+  EXPECT_STREQ(to_string(ElementKind::kEndpoint), "endpoint");
 }
 
 }  // namespace
