@@ -43,9 +43,12 @@ namespace {
 
 using namespace emc;
 
-// A trace aborts a task under system A at about one seed in five, under
-// the token schedulers almost never (and then one task), so 16 traces
-// separate A from C with high probability.
+// A trace aborts tasks under system A at about one seed in four (4 of
+// the 16 recorded traces, 226-492 tasks each). Under either token
+// scheduler about one seed in sixteen aborts, and then a single task
+// (one trace each for B and C in the recorded refs). So 16 traces
+// separate A from C by aborts per trace (mean ~87 vs ~0.06) even where
+// the brown-out yields sit close.
 constexpr std::size_t kTrials = 16;
 constexpr std::size_t kSmokeTrials = 3;
 

@@ -15,7 +15,8 @@ Processor::Processor(sim::Kernel& kernel, const device::DelayModel& model,
       model_(&model),
       store_(&store),
       ops_per_s_1v_(ops_per_s_at_1v),
-      alive_(std::make_shared<bool>(true)) {}
+      alive_(std::make_shared<bool>(true)),
+      next_slice_(kernel, [this] { slice(); }) {}
 
 double Processor::ops_per_s(double vdd) const {
   if (!model_->operational(vdd)) return 0.0;
@@ -46,9 +47,7 @@ void Processor::slice() {
     // Stall and wait for the harvester to refill the store.
     const sim::Time hint = store_->retry_hint();
     if (hint != sim::kTimeMax) {
-      kernel_->schedule(hint, [this, weak = std::weak_ptr<bool>(alive_)] {
-        if (auto t = weak.lock(); t && *t && busy_) slice();
-      });
+      next_slice_.arm(hint);
       return;
     }
     // Supply listeners are permanent, so the processor registers one
@@ -83,10 +82,7 @@ void Processor::slice() {
   const double e = slice_ops * current_.energy_per_op_j * vdd * vdd;
   store_->draw(e / vdd, e);
   remaining_ops_ -= slice_ops;
-  kernel_->schedule(sim::from_seconds(dt_s),
-                    [this, weak = std::weak_ptr<bool>(alive_)] {
-                      if (auto t = weak.lock(); t && *t && busy_) slice();
-                    });
+  next_slice_.arm(sim::from_seconds(dt_s));
 }
 
 // ---------------------------------------------------------------------------
@@ -101,7 +97,8 @@ SchedulerBase::SchedulerBase(sim::Kernel& kernel,
       model_(&model),
       store_(&store),
       name_(std::move(name)),
-      max_concurrency_(processors) {
+      max_concurrency_(processors),
+      retry_(kernel, [this] { pump(); }) {
   for (std::size_t i = 0; i < processors; ++i) {
     procs_.push_back(std::make_unique<Processor>(kernel, model, store));
   }
@@ -133,10 +130,12 @@ void SchedulerBase::pump() {
     if (free_proc == nullptr) return;
     Task task = ready_.front();
     if (!admit(task)) {
-      // Policy refused: retry when conditions change (poll at a coarse
-      // control period; event-precise re-admission is the adaptive
-      // controller's job).
-      kernel_->schedule(sim::us(100), [this] { pump(); });
+      // Policy refused: poll again after a coarse 100 us control period
+      // (a release or a completion pumps sooner). Nothing else re-pumps:
+      // the adaptive controller's set_max_concurrency only moves the
+      // limit the next pump reads. One retry is pending at a time, so
+      // refusals on every release do not stack parallel poll chains.
+      retry_.arm(sim::us(100));
       return;
     }
     ready_.pop_front();

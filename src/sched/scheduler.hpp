@@ -25,6 +25,7 @@
 #include "sched/energy_token.hpp"
 #include "sched/task.hpp"
 #include "sim/kernel.hpp"
+#include "sim/timer.hpp"
 #include "supply/storage_cap.hpp"
 
 namespace emc::sched {
@@ -70,7 +71,8 @@ class Processor {
   Task current_;
   double remaining_ops_ = 0.0;
   std::function<void(bool)> cb_;
-  std::shared_ptr<bool> alive_;
+  std::shared_ptr<bool> alive_;  // guards the lifetime wake listener
+  sim::Timer next_slice_;        // slice continuation or stall poll
 };
 
 class SchedulerBase {
@@ -88,7 +90,8 @@ class SchedulerBase {
   void load(std::vector<Task> tasks);
 
   /// Concurrency knob (wired to the AdaptiveController): maximum
-  /// simultaneously running tasks.
+  /// simultaneously running tasks. Takes effect at the next pump (a
+  /// release, a completion or the refusal retry); it does not pump.
   void set_max_concurrency(std::size_t n) { max_concurrency_ = n; }
   std::size_t max_concurrency() const { return max_concurrency_; }
 
@@ -110,6 +113,7 @@ class SchedulerBase {
   std::size_t running_ = 0;
   std::size_t max_concurrency_;
   SchedStats stats_;
+  sim::Timer retry_;  // re-pump after a refused admission
 };
 
 class FixedRateScheduler final : public SchedulerBase {

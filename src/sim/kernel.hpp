@@ -186,11 +186,6 @@ class Kernel {
   bool event_cap_hit() const { return cap_hit_; }
 
  private:
-  static Time saturating_add(Time a, Time b) {
-    const Time s = a + b;
-    return s < a ? kTimeMax : s;
-  }
-
   struct Probe {
     std::size_t id;
     QuiescenceProbe fn;

@@ -31,6 +31,12 @@ constexpr Time ns(std::uint64_t v) { return v * kNanosecond; }
 constexpr Time us(std::uint64_t v) { return v * kMicrosecond; }
 constexpr Time ms(std::uint64_t v) { return v * kMillisecond; }
 
+/// a + b, saturating at kTimeMax ("never") instead of wrapping.
+constexpr Time saturating_add(Time a, Time b) {
+  const Time s = a + b;
+  return s < a ? kTimeMax : s;
+}
+
 /// Convert a duration in seconds (e.g. from an analogue model) to ticks,
 /// rounding to the nearest femtosecond (halves away from zero, like
 /// std::llround) and saturating at kTimeMax; zero, negative and NaN

@@ -263,6 +263,30 @@ TEST(Scheduler, ConcurrencyKnobLimitsParallelism) {
   EXPECT_GT(sched.stats().completed, 0u);
 }
 
+TEST(Scheduler, RefusedAdmissionKeepsOneRetryPending) {
+  // A pool whose store sits below the reserve refuses every task. Each
+  // release is refused, yet the 100 us re-admission polls must merge
+  // into one chain: N release events plus horizon / 100 us retries, not
+  // a fresh chain per refused release.
+  sim::Kernel kernel;
+  device::DelayModel model{device::Tech::umc90()};
+  supply::StorageCap store(kernel, "store", 1e-6, 0.1);
+  EnergyTokenPool pool(store, 10e-9, 0.5);
+  EnergyTokenScheduler sched(kernel, model, store, 4, pool);
+  constexpr std::uint64_t kReleases = 20;
+  std::vector<Task> tasks(kReleases);
+  for (std::uint64_t i = 0; i < kReleases; ++i) {
+    tasks[i].id = i;
+    tasks[i].release = i * sim::us(50);
+  }
+  sched.load(std::move(tasks));
+  const sim::Time horizon = sim::ms(10);
+  kernel.run_until(horizon);
+  EXPECT_EQ(sched.stats().released, kReleases);
+  EXPECT_EQ(sched.stats().completed, 0u);
+  EXPECT_LE(kernel.events_executed(), kReleases + horizon / sim::us(100) + 2);
+}
+
 // ---- stochastic analysis ------------------------------------------------------
 
 TEST(Stochastic, AnalyticMatchesSimulation) {

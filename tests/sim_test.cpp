@@ -13,6 +13,7 @@
 #include "sim/random.hpp"
 #include "sim/signal.hpp"
 #include "sim/time.hpp"
+#include "sim/timer.hpp"
 #include "sim/trace.hpp"
 
 namespace emc::sim {
@@ -320,6 +321,85 @@ TEST(Kernel, StatsSnapshotReportsExecutionCounters) {
   sum += s;
   EXPECT_EQ(sum.events_executed, 16u);
   EXPECT_EQ(sum.peak_queue_depth, 9u);
+}
+
+TEST(Timer, SecondArmKeepsTheEarlierTime) {
+  Kernel k;
+  std::vector<Time> fired;
+  Timer t(k, [&] { fired.push_back(k.now()); });
+  t.arm(100);
+  t.arm(300);
+  EXPECT_TRUE(t.armed());
+  EXPECT_EQ(t.due(), 100u);
+  k.run();
+  EXPECT_EQ(fired, (std::vector<Time>{100}));
+  EXPECT_FALSE(t.armed());
+  EXPECT_EQ(k.events_executed(), 1u);
+}
+
+TEST(Timer, EarlierArmMovesTheEventEarlier) {
+  Kernel k;
+  std::vector<Time> fired;
+  Timer t(k, [&] { fired.push_back(k.now()); });
+  t.arm(300);
+  t.arm(100);
+  EXPECT_EQ(t.due(), 100u);
+  k.run();
+  EXPECT_EQ(fired, (std::vector<Time>{100}));
+  EXPECT_EQ(k.events_executed(), 1u);
+}
+
+TEST(Timer, FiresOnceAndMayRearmFromItsCallback) {
+  Kernel k;
+  int fires = 0;
+  Timer* self = nullptr;
+  Timer t(k, [&] {
+    if (++fires < 3) self->arm(10);
+  });
+  self = &t;
+  t.arm(10);
+  k.run();
+  EXPECT_EQ(fires, 3);
+  EXPECT_EQ(k.now(), 30u);
+  EXPECT_FALSE(t.armed());
+}
+
+TEST(Timer, CancelRetractsThePendingEvent) {
+  Kernel k;
+  int fires = 0;
+  Timer t(k, [&] { ++fires; });
+  t.arm(100);
+  t.cancel();
+  EXPECT_FALSE(t.armed());
+  t.cancel();  // disarmed: no-op
+  k.run();
+  EXPECT_EQ(fires, 0);
+  EXPECT_TRUE(k.idle());
+  t.arm(50);  // usable again after a cancel
+  k.run();
+  EXPECT_EQ(fires, 1);
+}
+
+TEST(Timer, DestructionCancels) {
+  Kernel k;
+  int fires = 0;
+  {
+    Timer t(k, [&] { ++fires; });
+    t.arm(100);
+  }
+  EXPECT_TRUE(k.idle());
+  k.run();
+  EXPECT_EQ(fires, 0);
+  EXPECT_EQ(k.events_executed(), 0u);
+}
+
+TEST(Timer, ArmSaturatesAtNever) {
+  Kernel k;
+  k.schedule(100, [] {});
+  k.run();
+  Timer t(k, [] {});
+  t.arm(kTimeMax);
+  EXPECT_EQ(t.due(), kTimeMax);
 }
 
 TEST(Signal, NotifiesOnChangeOnly) {
