@@ -4,7 +4,10 @@ namespace emc::gates {
 
 Gate::Gate(Context& ctx, std::string name, sim::Wire& out, double delay_stages,
            double cap_factor, double vth_offset, double leak_width)
-    : ctx_(&ctx), name_(std::move(name)), out_(&out) {
+    : ctx_(&ctx),
+      name_(std::move(name)),
+      out_(&out),
+      poll_(ctx.kernel, [this] { retry(); }) {
   const double c_inv = ctx.model.tech().c_inv;
   hot_ = ctx.drives.acquire(cap_factor * c_inv * delay_stages,
                             cap_factor * c_inv, vth_offset, /*strength=*/1.0);
@@ -82,11 +85,10 @@ void Gate::enter_stall() {
   stalled_ = true;
   const sim::Time hint = ctx_->supply.retry_hint();
   if (hint != sim::kTimeMax) {
-    ctx_->kernel.schedule(hint, [this] {
-      if (stalled_) retry();
-    });
+    poll_.arm(hint);
   }
   // else: wait for the supply's wake callback (registered in the ctor).
+  // Either way at most one poll is pending (arm keeps the earlier time).
 }
 
 void Gate::retry() {
@@ -97,13 +99,12 @@ void Gate::retry() {
     // Still brown: keep polling if the supply is time-driven.
     const sim::Time hint = ctx_->supply.retry_hint();
     if (hint != sim::kTimeMax) {
-      ctx_->kernel.schedule(hint, [this] {
-        if (stalled_) retry();
-      });
+      poll_.arm(hint);
     }
     return;
   }
   stalled_ = false;
+  poll_.cancel();  // resumed by a wake: the pending poll is moot
   // Sync the arena's operational lane even when the output ends up not
   // moving — quiescence probes read it, and a stale stalled flag would
   // misreport a recovered circuit as kQuiesced.

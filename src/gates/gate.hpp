@@ -18,7 +18,8 @@
 //
 // Stalling: if the supply is below Tech::vmin_operate at schedule or
 // apply time, the gate parks. It resumes via supply wake callbacks
-// (storage caps) or by polling at supply.retry_hint() (AC sources). This
+// (storage caps) or by polling at supply.retry_hint() (AC sources), with
+// at most one poll pending; a wake-driven resume cancels it. This
 // is how the Fig. 4 counter freezes in the troughs of the 1 MHz supply
 // and continues, state intact, on the next crest.
 #pragma once
@@ -31,6 +32,7 @@
 #include "gates/drive_arena.hpp"
 #include "gates/energy_meter.hpp"
 #include "sim/signal.hpp"
+#include "sim/timer.hpp"
 #include "supply/supply.hpp"
 
 namespace emc::gates {
@@ -165,6 +167,7 @@ class Gate {
   std::uint64_t fires_ = 0;
   std::uint64_t state_losses_ = 0;
   std::uint64_t upsets_ = 0;
+  sim::Timer poll_;  ///< stall poll at the supply's retry_hint()
 };
 
 }  // namespace emc::gates

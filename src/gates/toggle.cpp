@@ -4,7 +4,11 @@ namespace emc::gates {
 
 Toggle::Toggle(Context& ctx, std::string name, sim::Wire& in, sim::Wire& dot,
                sim::Wire& blank, double vth_offset)
-    : ctx_(&ctx), name_(std::move(name)), dot_(&dot), blank_(&blank) {
+    : ctx_(&ctx),
+      name_(std::move(name)),
+      dot_(&dot),
+      blank_(&blank),
+      poll_(ctx.kernel, [this] { retry(); }) {
   const double c_inv = ctx.model.tech().c_inv;
   hot_ = ctx.drives.acquire(c_inv * kDelayStages, kCapFactor * c_inv,
                             vth_offset, /*strength=*/1.0);
@@ -60,9 +64,7 @@ void Toggle::enter_stall() {
   stalled_ = true;
   const sim::Time hint = ctx_->supply.retry_hint();
   if (hint != sim::kTimeMax) {
-    ctx_->kernel.schedule(hint, [this] {
-      if (stalled_) retry();
-    });
+    poll_.arm(hint);
   }
 }
 
@@ -73,13 +75,12 @@ void Toggle::retry() {
   if (vdd < resume) {
     const sim::Time hint = ctx_->supply.retry_hint();
     if (hint != sim::kTimeMax) {
-      ctx_->kernel.schedule(hint, [this] {
-        if (stalled_) retry();
-      });
+      poll_.arm(hint);
     }
     return;
   }
   stalled_ = false;
+  poll_.cancel();  // resumed by a wake: the pending poll is moot
   // Keep the arena's operational lane honest even when nothing is queued
   // (quiescence probes read it).
   ctx_->refresh_drive(hot_, DriveArena::Need::kDraw);

@@ -22,6 +22,7 @@
 #include "gates/energy_meter.hpp"
 #include "gates/gate.hpp"
 #include "sim/signal.hpp"
+#include "sim/timer.hpp"
 
 namespace emc::gates {
 
@@ -73,6 +74,7 @@ class Toggle {
   bool stalled_ = false;
   std::uint64_t fires_ = 0;
   std::uint64_t state_losses_ = 0;
+  sim::Timer poll_;  ///< stall poll at the supply's retry_hint()
 };
 
 }  // namespace emc::gates

@@ -163,6 +163,9 @@ class Kernel {
   /// True if no event is pending.
   bool idle() const { return queue_.empty(); }
 
+  /// Live (non-cancelled) pending events.
+  std::size_t pending_events() const { return queue_.size(); }
+
   /// Time of the next pending event (kTimeMax if none).
   Time next_event_time() const { return queue_.next_time(); }
 

@@ -141,6 +141,84 @@ TEST(Gate, StallsBelowVminAndResumesOnWake) {
   EXPECT_FALSE(inv.stalled());
 }
 
+// A rail the test sets by hand: time-driven (finite retry hint) like an
+// AC source, yet able to fire a wake like a fault window closing.
+class HandRail final : public supply::Supply {
+ public:
+  HandRail(sim::Kernel& kernel, double v) : Supply(kernel, "rail"), v_(v) {}
+  double voltage() const override { return v_; }
+  sim::Time retry_hint() const override { return sim::us(1); }
+  void set(double v) {
+    v_ = v;
+    bump_voltage_epoch();
+  }
+  void wake() { fire_wake(); }
+
+ private:
+  double v_;
+};
+
+TEST(Gate, StallWakeRestallKeepsOnePendingPoll) {
+  sim::Kernel kernel;
+  device::DelayModel model{device::Tech::umc90()};
+  HandRail rail(kernel, 0.05);
+  Context ctx{kernel, model, rail, nullptr};
+  sim::Wire in(kernel, "in", false);
+  sim::Wire out(kernel, "out", true);
+  CombGate inv(ctx, "inv", Op::kInv, {&in}, out);
+  in.set(true);
+  ASSERT_TRUE(inv.stalled());
+  EXPECT_EQ(kernel.pending_events(), 1u);  // the poll
+  // The wake resumes the gate before its poll is due: the poll goes,
+  // the transition is the one pending event.
+  rail.set(1.0);
+  rail.wake();
+  EXPECT_FALSE(inv.stalled());
+  EXPECT_EQ(kernel.pending_events(), 1u);
+  kernel.run_until(sim::ns(1));
+  EXPECT_FALSE(out.read());
+  // Re-stall inside the first poll's interval: still one poll.
+  rail.set(0.05);
+  in.set(false);
+  ASSERT_TRUE(inv.stalled());
+  EXPECT_EQ(kernel.pending_events(), 1u);
+  // A wake that finds the rail still brown keeps that one poll.
+  rail.wake();
+  EXPECT_EQ(kernel.pending_events(), 1u);
+  const std::uint64_t before = kernel.events_executed();
+  kernel.run_until(kernel.now() + sim::us(10));
+  EXPECT_EQ(kernel.events_executed() - before, 10u);  // one poll per us
+}
+
+TEST(Toggle, StallWakeRestallKeepsOnePendingPoll) {
+  sim::Kernel kernel;
+  device::DelayModel model{device::Tech::umc90()};
+  HandRail rail(kernel, 0.05);
+  Context ctx{kernel, model, rail, nullptr};
+  sim::Wire in(kernel, "in", false);
+  sim::Wire dot(kernel, "dot", false);
+  sim::Wire blank(kernel, "blank", false);
+  Toggle t(ctx, "t", in, dot, blank);
+  in.set(true);
+  ASSERT_TRUE(t.stalled());
+  EXPECT_EQ(kernel.pending_events(), 1u);
+  rail.set(1.0);
+  rail.wake();
+  EXPECT_FALSE(t.stalled());
+  EXPECT_EQ(kernel.pending_events(), 1u);  // the fire in flight
+  kernel.run_until(sim::ns(1));
+  EXPECT_EQ(t.fires(), 1u);
+  rail.set(0.05);
+  in.set(false);
+  ASSERT_TRUE(t.stalled());
+  EXPECT_EQ(kernel.pending_events(), 1u);
+  rail.wake();
+  EXPECT_EQ(kernel.pending_events(), 1u);
+  const std::uint64_t before = kernel.events_executed();
+  kernel.run_until(kernel.now() + sim::us(10));
+  EXPECT_EQ(kernel.events_executed() - before, 10u);
+}
+
 // ---- C-element --------------------------------------------------------------
 
 TEST(CElement, RisesOnAllOnesFallsOnAllZeros) {
