@@ -21,8 +21,10 @@
 //   micro_kernel [--smoke] [--runs N] [--out FILE] [--baseline FILE]
 //               [--check-tolerance FRAC]
 //
-// --smoke (or EMC_BENCH_SMOKE=1) shrinks batches ~20x for CI; the rates
-// are noisier but the JSON shape is identical. --runs N executes the
+// --smoke (or EMC_BENCH_SMOKE=1) shrinks batches ~20x for CI and repeats
+// each bench's batch until 20 ms have passed (kSmokeMinTotalS), so a
+// sub-millisecond batch is sampled often enough to ride out ambient
+// load; the JSON shape is identical. --runs N executes the
 // whole suite N times and reports each bench's *median* rate — the
 // noise-tolerant estimator the CI perf gate uses (a single best-of run
 // still jitters ~10% in a shared container). --baseline merges a
@@ -68,18 +70,28 @@ struct BenchResult {
   double baseline_rate = 0.0;  // 0 = no baseline available
 };
 
-/// Run `batch` (which returns items processed) `reps` times and keep the
-/// best rate — the standard throughput estimator: the minimum-overhead
-/// run is the one closest to the true cost of the code under test.
+/// Smoke batches run for 0.05-9 ms, so three of them sample a moment of
+/// ambient load rather than the code. In smoke mode a bench repeats its
+/// batch until the batches add up to at least this long.
+constexpr double kSmokeMinTotalS = 0.020;
+
+/// Run `batch` (which returns items processed) `reps` times — in smoke
+/// mode, more until kSmokeMinTotalS has passed — and keep the best rate:
+/// the standard throughput estimator, since the minimum-overhead run is
+/// the one closest to the true cost of the code under test.
 BenchResult run_bench(const std::string& name, const std::string& unit,
-                      int reps, const std::function<std::uint64_t()>& batch) {
+                      int reps, bool smoke,
+                      const std::function<std::uint64_t()>& batch) {
   BenchResult r;
   r.name = name;
   r.unit = unit;
-  for (int i = 0; i < reps; ++i) {
+  const double min_total_s = smoke ? kSmokeMinTotalS : 0.0;
+  double total_s = 0.0;
+  for (int i = 0; i < reps || total_s < min_total_s; ++i) {
     const auto t0 = Clock::now();
     const std::uint64_t items = batch();
     const double s = std::chrono::duration<double>(Clock::now() - t0).count();
+    total_s += s;
     if (s <= 0.0 || items == 0) continue;
     const double rate = static_cast<double>(items) / s;
     if (rate > r.rate) {
@@ -98,7 +110,8 @@ BenchResult run_bench(const std::string& name, const std::string& unit,
 
 BenchResult bench_kernel_events(bool smoke) {
   const int rounds = smoke ? 10 : 200;
-  return run_bench("kernel_events", "events/s", smoke ? 3 : 5, [rounds] {
+  return run_bench("kernel_events", "events/s", smoke ? 3 : 5, smoke,
+                   [rounds] {
     sim::Kernel k;
     const std::uint64_t before = k.events_executed();
     for (int r = 0; r < rounds; ++r) {
@@ -114,7 +127,8 @@ BenchResult bench_kernel_events(bool smoke) {
 BenchResult bench_delay_model_eval(bool smoke) {
   const std::uint64_t n = smoke ? 100'000 : 2'000'000;
   device::DelayModel model{device::Tech::umc90()};
-  return run_bench("delay_model_eval", "evals/s", smoke ? 3 : 5, [n, &model] {
+  return run_bench("delay_model_eval", "evals/s", smoke ? 3 : 5, smoke,
+                   [n, &model] {
     double acc = 0.0;
     double v = 0.15;
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -129,7 +143,7 @@ BenchResult bench_delay_model_eval(bool smoke) {
 
 BenchResult bench_gate_oscillator(bool smoke) {
   const sim::Time horizon = smoke ? sim::ns(200) : sim::us(2);
-  return run_bench("gate_oscillator", "transitions/s", smoke ? 3 : 5,
+  return run_bench("gate_oscillator", "transitions/s", smoke ? 3 : 5, smoke,
                    [horizon] {
                      auto ex = exp::ContextConfig::battery(1.0).build();
                      sim::Wire osc(ex.kernel(), "osc", false);
@@ -143,7 +157,7 @@ BenchResult bench_gate_oscillator(bool smoke) {
 
 BenchResult bench_sram_ops(bool smoke) {
   const std::uint16_t n = smoke ? 200 : 2000;
-  return run_bench("sram_ops", "ops/s", smoke ? 3 : 5, [n] {
+  return run_bench("sram_ops", "ops/s", smoke ? 3 : 5, smoke, [n] {
     auto ex = exp::ContextConfig::battery(1.0).build();
     sram::SiSram sram(ex.ctx(), "sram", sram::SiSramParams{});
     for (std::uint16_t v = 0; v < n; ++v) {
@@ -162,7 +176,7 @@ BenchResult bench_sweep_throughput(bool smoke) {
   }
   const sim::Time horizon = smoke ? sim::ns(100) : sim::ns(500);
   return run_bench(
-      "sweep_throughput", "events/s", smoke ? 2 : 3, [&grid, horizon] {
+      "sweep_throughput", "events/s", smoke ? 2 : 3, smoke, [&grid, horizon] {
         exp::Workbench wb("sweep_throughput");
         // One thread: a 6-point smoke sweep is too short to amortize a
         // worker pool's start-up, so a pool would turn the rate into a
@@ -247,7 +261,8 @@ BenchResult bench_queue_shape(const char* name, QueueShape shape,
                               bool smoke) {
   const std::size_t depth = 4096;
   const std::uint64_t ops = smoke ? 100'000 : 2'000'000;
-  return run_bench(name, "ops/s", smoke ? 3 : 5, [shape, depth, ops] {
+  return run_bench(name, "ops/s", smoke ? 3 : 5, smoke,
+                   [shape, depth, ops] {
     g_sink = double(queue_hold_ops(shape, depth, ops));
     return ops;
   });

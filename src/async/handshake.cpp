@@ -53,8 +53,11 @@ void HandshakeSource::on_ack() {
 
 HandshakeSink::HandshakeSink(gates::Context& ctx, std::string name,
                              Channel ch, double delay_stages)
-    : ctx_(&ctx), name_(std::move(name)), ch_(ch),
-      delay_stages_(delay_stages) {
+    : ctx_(&ctx),
+      name_(std::move(name)),
+      ch_(ch),
+      delay_stages_(delay_stages),
+      poll_(ctx.kernel, [this] { on_req(); }) {
   ch_.req->subscribe<&HandshakeSink::on_req>(this);
   // Brownout recovery for wake-driven supplies: replay the req level the
   // brownout parked (registered once, for the sink's lifetime — a no-op
@@ -87,13 +90,14 @@ void HandshakeSink::on_req() {
     // The sink's logic is browned out: poll time-driven supplies at
     // their hint; wake-driven supplies replay via the ctor registration.
     const sim::Time hint = ctx_->supply.retry_hint();
-    if (hint != sim::kTimeMax) {
-      ctx_->kernel.schedule(hint, [this] { on_req(); });
-    }
+    if (hint != sim::kTimeMax) poll_.arm(hint);
     return;
   }
+  poll_.cancel();  // this call replays the live req level already
   const sim::Time d = ctx_->model.delay(
       vdd, delay_stages_ * ctx_->model.tech().c_inv);
+  // Not a stacking wake-up: one ack transition per req edge, each a
+  // no-op unless ack still differs from that edge's level.
   ctx_->kernel.schedule(d, [this, target] {
     if (ch_.ack->read() != target) {
       if (target) ++acks_;

@@ -13,6 +13,7 @@
 
 #include "gates/gate.hpp"
 #include "sim/signal.hpp"
+#include "sim/timer.hpp"
 
 namespace emc::netlist {
 class Circuit;
@@ -74,7 +75,8 @@ class HandshakeSource {
 /// gate delays (a stand-in for the downstream logic's latency). Browned
 /// out req edges are not lost: the sink re-arms on the supply's wake
 /// callback (storage caps) or polls at retry_hint() (AC), replaying the
-/// live req level on recovery.
+/// live req level on recovery. Edges that arrive while browned out share
+/// one pending poll.
 class HandshakeSink {
  public:
   HandshakeSink(gates::Context& ctx, std::string name, Channel ch,
@@ -107,6 +109,7 @@ class HandshakeSink {
   double delay_stages_;
   bool stalled_ = false;
   std::uint64_t acks_ = 0;
+  sim::Timer poll_;  ///< brown-out poll at the supply's retry_hint()
 };
 
 }  // namespace emc::async

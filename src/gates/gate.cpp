@@ -57,6 +57,7 @@ void Gate::schedule_output(bool target) {
   }
   pending_ = true;
   pending_value_ = target;
+  // One live transition: a retracted one is voided by its generation.
   const std::uint64_t gen = ++generation_;
   ctx_->kernel.schedule(ctx_->drives.delay(hot_),
                         [this, target, gen] { apply_output(target, gen); });

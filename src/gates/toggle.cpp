@@ -35,7 +35,7 @@ void Toggle::try_fire() {
     enter_stall();
     return;
   }
-  in_flight_ = true;
+  in_flight_ = true;  // one fire in flight: try_fire waits for apply()
   ctx_->kernel.schedule(ctx_->drives.delay(hot_), [this] { apply(); });
 }
 

@@ -5,20 +5,13 @@ namespace emc::power {
 AdaptiveController::AdaptiveController(sim::Kernel& kernel,
                                        supply::Supply& store,
                                        AdaptiveParams params, LevelKnob knob)
-    : kernel_(&kernel),
-      store_(&store),
+    : store_(&store),
       params_(std::move(params)),
-      knob_(std::move(knob)) {}
+      knob_(std::move(knob)),
+      next_tick_(kernel, [this] { tick(); }) {}
 
 void AdaptiveController::start() {
-  if (running_) return;
-  running_ = true;
-  pending_ = kernel_->schedule(params_.control_period, [this] { tick(); });
-}
-
-void AdaptiveController::stop() {
-  running_ = false;
-  kernel_->cancel(pending_);
+  if (!next_tick_.armed()) next_tick_.arm(params_.control_period);
 }
 
 std::uint32_t AdaptiveController::level_for(double vdd) const {
@@ -33,16 +26,14 @@ std::uint32_t AdaptiveController::level_for(double vdd) const {
 }
 
 void AdaptiveController::tick() {
+  // Re-arm first: the knob may stop the controller.
+  next_tick_.arm(params_.control_period);
   ++ticks_;
   const std::uint32_t lvl = level_for(store_->voltage());
   if (lvl != level_) {
     level_ = lvl;
     ++level_changes_;
     if (knob_) knob_(level_);
-  }
-  // The knob may have stopped the controller.
-  if (running_) {
-    pending_ = kernel_->schedule(params_.control_period, [this] { tick(); });
   }
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sim/kernel.hpp"
+#include "sim/timer.hpp"
 #include "supply/supply.hpp"
 
 namespace emc::power {
@@ -36,9 +37,10 @@ class AdaptiveController {
   AdaptiveController(sim::Kernel& kernel, supply::Supply& store,
                      AdaptiveParams params, LevelKnob knob);
 
+  /// Starts the control ticks (a no-op while they run).
   void start();
   /// Cancels the pending tick, so a later start() resumes one chain.
-  void stop();
+  void stop() { next_tick_.cancel(); }
 
   std::uint32_t level() const { return level_; }
   std::uint64_t control_ticks() const { return ticks_; }
@@ -48,15 +50,13 @@ class AdaptiveController {
   void tick();
   std::uint32_t level_for(double vdd) const;
 
-  sim::Kernel* kernel_;
   supply::Supply* store_;
   AdaptiveParams params_;
   LevelKnob knob_;
-  bool running_ = false;
-  sim::EventId pending_{};
   std::uint32_t level_ = 0;
   std::uint64_t ticks_ = 0;
   std::uint64_t level_changes_ = 0;
+  sim::Timer next_tick_;  ///< armed while running
 };
 
 }  // namespace emc::power

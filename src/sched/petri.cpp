@@ -66,6 +66,7 @@ bool EnergyPetriNet::fire(TransitionId t) {
   consumed_ += tr.energy_cost;
   energy_spent_ += tr.energy_cost;
   ++tr.in_flight;
+  // One completion per firing: concurrent firings are meant to overlap.
   kernel_->schedule(tr.duration, [this, t] {
     Transition& fin = transitions_[t];
     for (PlaceId p : fin.outputs) {

@@ -106,6 +106,7 @@ SchedulerBase::SchedulerBase(sim::Kernel& kernel,
 
 void SchedulerBase::load(std::vector<Task> tasks) {
   for (auto& t : tasks) {
+    // One release event per task, scheduled once here.
     kernel_->schedule_at(t.release, [this, t] { on_release(t); });
   }
 }

@@ -16,7 +16,10 @@ constexpr double kMeanCapPerDraw = (2.0 + 12.0) / 3.0;
 ChargeToDigitalConverter::ChargeToDigitalConverter(gates::Context& host,
                                                    std::string name,
                                                    C2dParams params)
-    : host_(host), name_(std::move(name)), params_(params) {
+    : host_(host),
+      name_(std::move(name)),
+      params_(params),
+      poll_(host.kernel, [this] { poll(); }) {
   cap_ = std::make_unique<supply::SampleCap>(
       host.kernel, name_ + ".csample", params_.sample_cap_f, 0.0);
   island_ = std::make_unique<gates::Context>(
@@ -51,11 +54,10 @@ void ChargeToDigitalConverter::convert(
                            host_.model.tech().vmin_hysteresis);
   cap_->sample(vin);
   counter_->start();
-  host_.kernel.schedule(params_.poll, [this] { poll(); });
+  poll_.arm(params_.poll);
 }
 
 void ChargeToDigitalConverter::poll() {
-  if (!converting_) return;
   const double v = cap_->voltage();
   const std::uint64_t draws = cap_->draw_count();
   const bool quiet = draws == last_poll_draws_;
@@ -64,7 +66,7 @@ void ChargeToDigitalConverter::poll() {
     finish();
     return;
   }
-  host_.kernel.schedule(params_.poll, [this] { poll(); });
+  poll_.arm(params_.poll);
 }
 
 void ChargeToDigitalConverter::finish() {

@@ -18,6 +18,7 @@
 #include "async/counter.hpp"
 #include "gates/energy_meter.hpp"
 #include "gates/gate.hpp"
+#include "sim/timer.hpp"
 #include "supply/storage_cap.hpp"
 
 namespace emc::sensor {
@@ -81,6 +82,7 @@ class ChargeToDigitalConverter {
   std::uint64_t trans_before_ = 0;
   std::uint64_t last_poll_draws_ = 0;
   sim::Time started_ = 0;
+  sim::Timer poll_;  ///< armed while converting
 };
 
 }  // namespace emc::sensor

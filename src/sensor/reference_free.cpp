@@ -79,6 +79,7 @@ void ReferenceFreeSensor::settle_then_report() {
   const sim::Time settle = sim::from_seconds(
       1.5 * static_cast<double>(params_.ruler_stages) *
       ctx_->model.inverter_delay_seconds(vdd));
+  // One report per measurement (measure() asserts !measuring_).
   ctx_->kernel.schedule(settle, [this] {
     pending_.duration_s = sim::to_seconds(ctx_->kernel.now() - started_);
     measuring_ = false;

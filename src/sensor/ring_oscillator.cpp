@@ -7,7 +7,9 @@ namespace emc::sensor {
 RingOscillatorSensor::RingOscillatorSensor(gates::Context& ctx,
                                            std::string name,
                                            RingOscParams params)
-    : circuit_(ctx, std::move(name)), params_(params) {
+    : circuit_(ctx, std::move(name)),
+      params_(params),
+      window_(ctx.kernel, [this] { close_window(); }) {
   assert(params_.stages % 2 == 1 && "ring length must be odd");
   enable_ = &circuit_.wire("enable", false);
   // NAND closes the ring so the oscillator can be gated; the remaining
@@ -29,25 +31,22 @@ RingOscillatorSensor::RingOscillatorSensor(gates::Context& ctx,
   out_ = prev;
 }
 
-RingOscillatorSensor::~RingOscillatorSensor() {
-  // Cancelling an already-fired (or zero) id is a harmless no-op; a
-  // *pending* window closure captures `this` and must never fire after
-  // destruction.
-  circuit_.ctx().kernel.cancel(window_event_);
-}
-
 void RingOscillatorSensor::measure(std::function<void(std::uint64_t)> cb) {
   assert(!measuring_);
   measuring_ = true;
-  const std::uint64_t before = out_->transitions();
+  window_start_ = out_->transitions();
+  cb_ = std::move(cb);
   enable_->set(true);
-  window_event_ = circuit_.ctx().kernel.schedule(
-      params_.gate_window, [this, before, cb = std::move(cb)] {
-        window_event_ = 0;  // fired: the handle is stale, re-arm is legal
-        enable_->set(false);
-        measuring_ = false;
-        cb(out_->transitions() - before);
-      });
+  window_.arm(params_.gate_window);
+}
+
+void RingOscillatorSensor::close_window() {
+  enable_->set(false);
+  measuring_ = false;
+  // The callback may start the next measurement, which sets cb_ anew.
+  auto cb = std::move(cb_);
+  cb_ = nullptr;
+  cb(out_->transitions() - window_start_);
 }
 
 double RingOscillatorSensor::expected_code(double vdd) const {

@@ -14,8 +14,8 @@
 
 #include "gates/gate.hpp"
 #include "netlist/module.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/signal.hpp"
+#include "sim/timer.hpp"
 
 namespace emc::sensor {
 
@@ -28,11 +28,6 @@ class RingOscillatorSensor {
  public:
   RingOscillatorSensor(gates::Context& ctx, std::string name,
                        RingOscParams params);
-
-  /// Cancels a pending gate-window event: destroying the sensor
-  /// mid-measurement must not leave a kernel callback into freed memory
-  /// (the window closure captures `this`).
-  ~RingOscillatorSensor();
 
   RingOscillatorSensor(const RingOscillatorSensor&) = delete;
   RingOscillatorSensor& operator=(const RingOscillatorSensor&) = delete;
@@ -52,14 +47,16 @@ class RingOscillatorSensor {
   const netlist::Circuit& circuit() const { return circuit_; }
 
  private:
+  void close_window();
+
   netlist::Circuit circuit_;
   RingOscParams params_;
   sim::Wire* enable_;
   sim::Wire* out_;
   bool measuring_ = false;
-  /// Slab handle of the in-flight window-close event (0 = none); held so
-  /// the destructor can cancel in O(1).
-  sim::EventId window_event_ = 0;
+  std::uint64_t window_start_ = 0;  ///< ring transitions at window open
+  std::function<void(std::uint64_t)> cb_;
+  sim::Timer window_;  ///< closes the gate window
 };
 
 }  // namespace emc::sensor

@@ -76,7 +76,7 @@ class Signal {
       apply(v);
       return;
     }
-    pending_ = true;
+    pending_ = true;  // retract_pending() cancelled any earlier write
     pending_id_ = kernel_->schedule(delay, [this, v] {
       pending_ = false;
       apply(v);

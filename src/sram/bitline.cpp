@@ -35,22 +35,19 @@ double BitlineDynamics::write_delay_seconds(double vdd) const {
 SteppedAccess::SteppedAccess(sim::Kernel& kernel, supply::Supply& supply,
                              const device::DelayModel& model, DelayFn delay_at,
                              int steps, std::function<void()> on_complete)
-    : kernel_(&kernel),
-      supply_(&supply),
+    : supply_(&supply),
       model_(&model),
       delay_at_(std::move(delay_at)),
       steps_(steps),
       on_complete_(std::move(on_complete)),
-      alive_(std::make_shared<bool>(true)) {
+      alive_(std::make_shared<bool>(true)),
+      next_(kernel, [this] { step(); }) {
   // Resume from a brown-out as soon as a storage-backed supply recovers.
   // The liveness token guards against the access finishing (and being
   // destroyed) before a later wake fires.
   supply_->on_wake([this, alive = std::weak_ptr<bool>(alive_)] {
     const auto token = alive.lock();
-    if (token && *token && stalled_) {
-      stalled_ = false;
-      step();
-    }
+    if (token && *token && stalled_) step();
   });
 }
 
@@ -63,18 +60,15 @@ void SteppedAccess::step() {
   if (!model_->operational(vdd)) {
     if (!stalled_) ++stall_events_;
     stalled_ = true;
+    // Poll time-driven supplies; one poll is pending however many
+    // wakes find the rail still brown.
     const sim::Time hint = supply_->retry_hint();
-    if (hint != sim::kTimeMax) {
-      kernel_->schedule(hint, [this, alive = std::weak_ptr<bool>(alive_)] {
-        const auto token = alive.lock();
-        if (token && *token && stalled_) {
-          stalled_ = false;
-          step();
-        }
-      });
-    }
+    if (hint != sim::kTimeMax) next_.arm(hint);
     return;
   }
+  // Operational: a resume by wake retracts the pending poll.
+  stalled_ = false;
+  next_.cancel();
   if (done_ >= steps_) {
     // The callback may destroy this access object; run a local copy and
     // touch no members afterwards.
@@ -85,11 +79,7 @@ void SteppedAccess::step() {
   }
   const double dt = delay_at_(vdd) / static_cast<double>(steps_);
   ++done_;
-  kernel_->schedule(sim::from_seconds(dt),
-                    [this, alive = std::weak_ptr<bool>(alive_)] {
-                      const auto token = alive.lock();
-                      if (token && *token) step();
-                    });
+  next_.arm(sim::from_seconds(dt));
 }
 
 }  // namespace emc::sram

@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "sim/kernel.hpp"
+#include "sim/timer.hpp"
 #include "sram/cell.hpp"
 #include "supply/supply.hpp"
 
@@ -75,7 +76,8 @@ class SteppedAccess {
 
   void start();
   bool stalled() const { return stalled_; }
-  /// Times this access entered a brown-out stall.
+  /// Times this access entered a brown-out stall (polls that find the
+  /// rail still brown do not count).
   int stall_events() const { return stall_events_; }
   double progress() const {
     return static_cast<double>(done_) / static_cast<double>(steps_);
@@ -84,7 +86,6 @@ class SteppedAccess {
  private:
   void step();
 
-  sim::Kernel* kernel_;
   supply::Supply* supply_;
   const device::DelayModel* model_;
   DelayFn delay_at_;
@@ -97,6 +98,7 @@ class SteppedAccess {
   // listeners registered with the supply outlive them; callbacks check
   // the token before touching `this`.
   std::shared_ptr<bool> alive_;
+  sim::Timer next_;  ///< next sub-step, or the brown-out poll
 };
 
 }  // namespace emc::sram

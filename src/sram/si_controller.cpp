@@ -28,7 +28,10 @@ SiSram::SiSram(gates::Context& ctx, std::string name, SiSramParams params,
       pch_(&circuit_.wire("pch")),
       wl_(&circuit_.wire("wl")),
       we_(&circuit_.wire("we")),
-      done_(&circuit_.wire("done")) {
+      done_(&circuit_.wire("done")),
+      next_op_(ctx.kernel, [this] {
+        if (!busy() && !queue_.empty()) pump();
+      }) {
   if (rng != nullptr && params_.vth_sigma > 0.0) {
     array_->randomize_mismatch(*rng, params_.vth_sigma);
   }
@@ -208,12 +211,8 @@ void SiSram::finish() {
   }
   if (!queue_.empty()) {
     // Back-to-back ops separated by one control round-trip.
-    ctx_->kernel.schedule(
-        ctx_->model.delay(std::max(ctx_->supply.voltage(), 0.15),
-                          2.0 * ctx_->model.tech().c_inv),
-        [this] {
-          if (!busy() && !queue_.empty()) pump();
-        });
+    next_op_.arm(ctx_->model.delay(std::max(ctx_->supply.voltage(), 0.15),
+                                   2.0 * ctx_->model.tech().c_inv));
   }
 }
 

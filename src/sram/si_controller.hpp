@@ -28,6 +28,7 @@
 #include "gates/gate.hpp"
 #include "netlist/module.hpp"
 #include "sim/signal.hpp"
+#include "sim/timer.hpp"
 #include "sram/array.hpp"
 #include "sram/bitline.hpp"
 #include "sram/energy.hpp"
@@ -134,6 +135,7 @@ class SiSram {
   std::uint64_t reads_done_ = 0;
   std::uint64_t writes_done_ = 0;
   std::uint64_t write_failures_ = 0;
+  sim::Timer next_op_;  ///< starts the queued op after a control round trip
 };
 
 }  // namespace emc::sram

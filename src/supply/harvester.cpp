@@ -49,14 +49,14 @@ Harvester::Harvester(sim::Kernel& kernel, HarvesterProfile profile,
       profile_(profile),
       store_(&store),
       rng_(&rng),
-      tick_(tick) {}
+      tick_(tick),
+      next_step_(kernel, [this] { step(); }) {}
 
 void Harvester::start() {
-  if (running_) return;
-  running_ = true;
+  if (next_step_.armed()) return;
   state_until_ = kernel_->now();
   maybe_transition();
-  kernel_->schedule(tick_, [this] { step(); });
+  next_step_.arm(tick_);
 }
 
 double Harvester::instantaneous_power() const {
@@ -86,7 +86,8 @@ void Harvester::maybe_transition() {
 }
 
 void Harvester::step() {
-  if (!running_) return;
+  // Re-arm first: a deposit's wake listeners may stop the harvester.
+  next_step_.arm(tick_);
   maybe_transition();
   const double p = instantaneous_power();
   const double joules = p * sim::to_seconds(tick_) * efficiency_;
@@ -97,7 +98,6 @@ void Harvester::step() {
     harvested_j_ += joules;
   }
   if (tracing_) power_trace_.sample(kernel_->now(), p);
-  kernel_->schedule(tick_, [this] { step(); });
 }
 
 }  // namespace emc::supply

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "sim/random.hpp"
+#include "sim/timer.hpp"
 #include "sim/trace.hpp"
 #include "supply/storage_cap.hpp"
 
@@ -54,8 +55,10 @@ class Harvester {
   Harvester(sim::Kernel& kernel, HarvesterProfile profile, StorageCap& store,
             sim::Rng& rng, sim::Time tick = sim::us(10));
 
+  /// Starts the tick chain (a no-op while it runs).
   void start();
-  void stop() { running_ = false; }
+  /// Cancels the pending tick, so a later start() resumes one chain.
+  void stop() { next_step_.cancel(); }
 
   /// Conversion efficiency applied to every deposit (MPPT controllers
   /// adjust this at run time).
@@ -96,9 +99,9 @@ class Harvester {
   double harvested_j_ = 0.0;
   double jitter_factor_ = 1.0;
   std::uint32_t blackout_depth_ = 0;
-  bool running_ = false;
   bool tracing_ = false;
   sim::AnalogTrace power_trace_{"p_harvest"};
+  sim::Timer next_step_;  ///< armed while running
 };
 
 }  // namespace emc::supply

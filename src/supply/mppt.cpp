@@ -9,7 +9,8 @@ MpptController::MpptController(sim::Kernel& kernel, Harvester& harvester,
     : kernel_(&kernel),
       harvester_(&harvester),
       params_(params),
-      x_(params.x_initial) {}
+      x_(params.x_initial),
+      next_step_(kernel, [this] { step(); }) {}
 
 double MpptController::extraction_at(double x) const {
   const double d = (x - params_.x_mpp) / params_.width;
@@ -17,15 +18,14 @@ double MpptController::extraction_at(double x) const {
 }
 
 void MpptController::start() {
-  if (running_) return;
-  running_ = true;
+  if (next_step_.armed()) return;
   harvester_->set_efficiency(extraction_at(x_));
   last_total_ = harvester_->total_energy_harvested();
-  kernel_->schedule(params_.window, [this] { step(); });
+  next_step_.arm(params_.window);
 }
 
 void MpptController::step() {
-  if (!running_) return;
+  next_step_.arm(params_.window);
   // Perturb & observe: compare this window's harvest with the previous
   // one; keep going if it improved, reverse otherwise.
   const double total = harvester_->total_energy_harvested();
@@ -37,7 +37,6 @@ void MpptController::step() {
   harvester_->set_efficiency(extraction_at(x_));
   ++steps_;
   if (tracing_) trace_.sample(kernel_->now(), extraction_at(x_));
-  kernel_->schedule(params_.window, [this] { step(); });
 }
 
 }  // namespace emc::supply

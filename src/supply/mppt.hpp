@@ -13,6 +13,7 @@
 // efficiency is fed to the Harvester as its conversion efficiency.
 #pragma once
 
+#include "sim/timer.hpp"
 #include "sim/trace.hpp"
 #include "supply/harvester.hpp"
 
@@ -30,8 +31,10 @@ class MpptController {
  public:
   MpptController(sim::Kernel& kernel, Harvester& harvester, MpptParams params);
 
+  /// Starts the observation windows (a no-op while they run).
   void start();
-  void stop() { running_ = false; }
+  /// Cancels the pending step, so a later start() resumes one chain.
+  void stop() { next_step_.cancel(); }
 
   double operating_point() const { return x_; }
   double extraction_efficiency() const { return extraction_at(x_); }
@@ -52,9 +55,9 @@ class MpptController {
   double last_window_energy_ = 0.0;
   double last_total_ = 0.0;
   std::uint64_t steps_ = 0;
-  bool running_ = false;
   bool tracing_ = false;
   sim::AnalogTrace trace_{"mppt_eta"};
+  sim::Timer next_step_;  ///< armed while running
 };
 
 }  // namespace emc::supply

@@ -53,6 +53,31 @@ TEST(Handshake, SourceSinkCompleteCycles) {
   EXPECT_GT(src.last_cycle_seconds(), 0.0);
 }
 
+TEST(Handshake, BrownedOutReqEdgesShareOnePoll) {
+  // A time-driven rail browned out until 5 us: every req edge parks on
+  // the same poll, and the sink mirrors the live req level on recovery.
+  sim::Kernel kernel;
+  device::DelayModel model{device::Tech::umc90()};
+  supply::PiecewiseSupply rail(
+      kernel, "rail",
+      {{0, 0.05}, {sim::us(5), 0.05}, {sim::us(5) + 1, 1.0}}, sim::us(1));
+  gates::Context ctx{kernel, model, rail, nullptr};
+  sim::Wire req(kernel, "req", false), ack(kernel, "ack", false);
+  HandshakeSink sink(ctx, "sink", Channel{&req, &ack}, 2.0);
+  req.set(true);
+  EXPECT_EQ(kernel.pending_events(), 1u);
+  kernel.run_until(sim::us(1) / 2);
+  req.set(false);
+  req.set(true);
+  EXPECT_EQ(kernel.pending_events(), 1u);
+  kernel.run_until(sim::us(10));
+  EXPECT_TRUE(ack.read());
+  EXPECT_EQ(sink.acks(), 1u);
+  EXPECT_TRUE(kernel.idle());
+  // Polls at 1..6 us, the sixth finding the rail up, then the ack.
+  EXPECT_EQ(kernel.events_executed(), 7u);
+}
+
 TEST(HandshakeChecker, FlagsProtocolViolation) {
   Fixture f;
   sim::Wire req(f.kernel, "req", false), ack(f.kernel, "ack", false);

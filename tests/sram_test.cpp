@@ -140,6 +140,29 @@ TEST(SteppedAccess, StallsAndResumesAcrossBrownout) {
   EXPECT_GT(acc.stall_events(), 0);
 }
 
+TEST(SteppedAccess, BrownoutPollsCountOneStall) {
+  // A time-driven rail browned out until 5 us: the access polls once per
+  // microsecond on one pending poll, and the polls that find the rail
+  // still brown are not new stalls.
+  sim::Kernel kernel;
+  device::DelayModel model{device::Tech::umc90()};
+  supply::PiecewiseSupply rail(
+      kernel, "rail",
+      {{0, 0.05}, {sim::us(5), 0.05}, {sim::us(5) + 1, 1.0}}, sim::us(1));
+  bool done = false;
+  SteppedAccess acc(
+      kernel, rail, model, [](double) { return 1e-9; }, 8,
+      [&] { done = true; });
+  acc.start();
+  EXPECT_TRUE(acc.stalled());
+  EXPECT_EQ(kernel.pending_events(), 1u);
+  kernel.run_until(sim::us(10));
+  EXPECT_TRUE(done);
+  EXPECT_EQ(acc.stall_events(), 1);
+  // Six polls (the sixth finds the rail up), then eight sub-steps.
+  EXPECT_EQ(kernel.events_executed(), 6u + 8u);
+}
+
 // ---- array ---------------------------------------------------------------------
 
 TEST(SramArray, ReadWriteAndBrownout) {

@@ -199,6 +199,46 @@ TEST(Harvester, EfficiencyScalesDeposits) {
   EXPECT_NEAR(h.total_energy_harvested(), 0.05e-6, 2e-9);
 }
 
+TEST(Harvester, StopThenStartKeepsOneTickChain) {
+  sim::Kernel k;
+  sim::Rng rng(1);
+  StorageCap cap(k, "store", 10e-6, 0.0);
+  // 100 uW over a 10 us tick: 1 nJ per tick.
+  Harvester h(k, HarvesterProfile::steady(100e-6), cap, rng, sim::us(10));
+  h.start();
+  k.run_until(sim::us(15));  // one tick (10 us), the next pending
+  h.stop();
+  h.start();  // re-armed at 25 us
+  k.run_until(sim::us(115));
+  // Ticks at 10, 25, 35, ..., 115 us: 1 + 10, not a second chain.
+  EXPECT_NEAR(h.total_energy_harvested(), 11e-9, 1e-12);
+  h.stop();
+  k.run_until(sim::ms(1));
+  EXPECT_NEAR(h.total_energy_harvested(), 11e-9, 1e-12);
+  EXPECT_TRUE(k.idle());
+}
+
+TEST(Mppt, StopThenStartKeepsOneTickChain) {
+  sim::Kernel k;
+  sim::Rng rng(5);
+  StorageCap cap(k, "store", 100e-6, 0.0);
+  Harvester h(k, HarvesterProfile::steady(200e-6), cap, rng, sim::us(10));
+  MpptParams mp;
+  mp.window = sim::us(100);
+  MpptController mppt(k, h, mp);
+  mppt.start();
+  k.run_until(sim::us(150));  // one step (100 us), the next pending
+  mppt.stop();
+  mppt.start();  // re-armed at 250 us
+  k.run_until(sim::us(1150));
+  // Steps at 100, 250, 350, ..., 1150 us: 1 + 10, not a second chain.
+  EXPECT_EQ(mppt.steps_taken(), 11u);
+  mppt.stop();
+  k.run_until(sim::ms(2));
+  EXPECT_EQ(mppt.steps_taken(), 11u);
+  EXPECT_TRUE(k.idle());
+}
+
 TEST(Mppt, ConvergesNearMaximumPowerPoint) {
   sim::Kernel k;
   sim::Rng rng(5);
