@@ -1,11 +1,11 @@
 // One pending wake-up per owner, by construction.
 //
 // Elements that re-poll a supply, retry a refused admission or tick
-// periodically used to call Kernel::schedule() afresh each time. Two
-// triggers before the first event fired (a refusal per release, a stall
-// per fault-window wake, a stop(); start() pair) then left two chains
-// running that never merged. A Timer is built once by its owner with
-// the callback and holds at most one pending event:
+// periodically reschedule themselves. With a fresh Kernel::schedule()
+// per trigger, two triggers before the first event fires (a refusal per
+// release, a stall per fault-window wake, a stop(); start() pair) leave
+// two chains running that never merge. A Timer is built once by its
+// owner with the callback and holds at most one pending event:
 //
 //   * arm(delay) schedules the callback at now + delay. Arming while
 //     armed keeps the earlier of the two times: a later arm is a no-op,
@@ -53,8 +53,6 @@ class Timer {
   }
 
   bool armed() const { return id_ != 0; }
-  /// Absolute time of the pending event (meaningful only while armed).
-  Time due() const { return due_; }
 
  private:
   void fire() {

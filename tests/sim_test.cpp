@@ -330,7 +330,7 @@ TEST(Timer, SecondArmKeepsTheEarlierTime) {
   t.arm(100);
   t.arm(300);
   EXPECT_TRUE(t.armed());
-  EXPECT_EQ(t.due(), 100u);
+  EXPECT_EQ(k.next_event_time(), 100u);
   k.run();
   EXPECT_EQ(fired, (std::vector<Time>{100}));
   EXPECT_FALSE(t.armed());
@@ -343,7 +343,8 @@ TEST(Timer, EarlierArmMovesTheEventEarlier) {
   Timer t(k, [&] { fired.push_back(k.now()); });
   t.arm(300);
   t.arm(100);
-  EXPECT_EQ(t.due(), 100u);
+  EXPECT_EQ(k.next_event_time(), 100u);
+  EXPECT_EQ(k.pending_events(), 1u);
   k.run();
   EXPECT_EQ(fired, (std::vector<Time>{100}));
   EXPECT_EQ(k.events_executed(), 1u);
@@ -399,7 +400,9 @@ TEST(Timer, ArmSaturatesAtNever) {
   k.run();
   Timer t(k, [] {});
   t.arm(kTimeMax);
-  EXPECT_EQ(t.due(), kTimeMax);
+  EXPECT_EQ(k.next_event_time(), kTimeMax);
+  t.arm(kTimeMax);  // no earlier: still the one event
+  EXPECT_EQ(k.pending_events(), 1u);
 }
 
 TEST(Signal, NotifiesOnChangeOnly) {
